@@ -16,8 +16,11 @@ by Bayes' rule with the binomial detection likelihood
 
     p(N_det | N) = C(N, N_det) eta^N_det (1-eta)^(N-N_det).
 
-A bucket detector only reports "at least one photon"; its posterior is the
-detection-probability-weighted mixture over N_det >= 1.
+On the geometric twin-beam prior both posteriors have closed forms: after
+N_det counts the undetected photons N - N_det follow a negative binomial,
+and a bucket click ("at least one photon") reweights the prior by the click
+probability 1 - (1-eta)^N. Each posterior sizes its support from its own
+tail, which is heavier than the prior's.
 """
 from __future__ import annotations
 
@@ -26,12 +29,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .states import (
+    TAIL_MASS,
     PdcTwinBeam,
     PhotonDistribution,
-    delta_distribution,
+    binomial_pmf,
     geometric_n_max,
     pdc_marginal_pmf,
 )
@@ -63,18 +66,23 @@ class DetectorModel:
             raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency!r}")
 
 
-def _thinning_matrix(n_max: int, eta: float) -> np.ndarray:
-    """B[k, n] = P(k of n photons survive) = Binomial(n, eta) pmf at k."""
-    k = np.arange(n_max + 1)[:, None]
-    n = np.arange(n_max + 1)[None, :]
-    return stats.binom.pmf(k, n, eta)
-
-
 def apply_loss(d: PhotonDistribution, channel: LossChannel) -> PhotonDistribution:
-    """Binomial thinning of a count distribution; support length unchanged."""
-    if channel.eta == 1.0:
+    """Binomial thinning of a count distribution; support length unchanged.
+
+    Accumulates p(n) * Binomial(n, eta) over n, carrying a single binomial
+    column advanced by Pascal's rule b_{n+1}[k] = (1-eta) b_n[k] +
+    eta b_n[k-1]: O(n_max^2) time, O(n_max) memory.
+    """
+    eta = channel.eta
+    if eta == 1.0:
         return d
-    thinned = _thinning_matrix(d.n_max, channel.eta) @ d.pmf
+    col = np.zeros(d.n_max + 1)
+    col[0] = 1.0  # Binomial(0, eta)
+    thinned = d.pmf[0] * col
+    for n in range(1, d.n_max + 1):
+        col[1 : n + 1] = (1.0 - eta) * col[1 : n + 1] + eta * col[:n]
+        col[0] *= 1.0 - eta
+        thinned[: n + 1] += d.pmf[n] * col[: n + 1]
     return PhotonDistribution(thinned)
 
 
@@ -88,7 +96,8 @@ def condition_probe_number_resolving(state: PdcTwinBeam, n_det: int,
     """
     if n_det < 0:
         raise ValueError("detected photon number must be >= 0")
-    return apply_loss(delta_distribution(n_det), probe_loss)
+    return PhotonDistribution(
+        binomial_pmf(np.arange(n_det + 1), n_det, probe_loss.eta))
 
 
 def _bucket_conditioned_pmf(epsilon: float) -> PhotonDistribution:
@@ -118,45 +127,59 @@ def detector_count_distribution(state: PdcTwinBeam,
     return apply_loss(pdc_marginal_pmf(state), detector_loss)
 
 
-def _detection_likelihood(n: np.ndarray, n_det: int, eta: float) -> np.ndarray:
-    # p(N_det | N): binomial detection of N_det out of N photons
-    return stats.binom.pmf(n_det, n, eta)
-
-
 def posterior_number_resolving(state: PdcTwinBeam, n_det: int,
                                detector_loss: LossChannel) -> PhotonDistribution:
     """What an imperfect N_det count implies about the conjugate beam.
 
     Bayes over the geometric prior with the binomial likelihood; every photon
     the detector missed is still present, so the support starts at n_det and
-    extends upward. Renormalized on the truncated support.
+    extends upward. In closed form N - n_det ~ NegBin(n_det + 1, q) with
+    q = eps (1 - eta), the chance that a photon exists and goes undetected:
+
+        p(N | n_det) = (1 - q) Binomial(n_det; N, 1 - q),   N >= n_det.
+
+    The support ends where the posterior's own tail drops below TAIL_MASS.
     """
     if n_det < 0:
         raise ValueError("detected photon number must be >= 0")
-    eta = detector_loss.eta
-    prior = pdc_marginal_pmf(state)
-    if n_det > prior.n_max:
+    eps, eta = state.epsilon, detector_loss.eta
+    n_prior = geometric_n_max(eps)
+    if n_det > n_prior:
         raise ValueError(
             f"N_det = {n_det} lies beyond the truncated prior support "
-            f"(n_max = {prior.n_max}): observation impossible at this epsilon"
+            f"(n_max = {n_prior}): observation impossible at this epsilon"
         )
-    weights = prior.pmf * _detection_likelihood(prior.support, n_det, eta)
-    total = weights.sum()
-    if total <= 0.0:
+    if eta == 0.0 and n_det > 0:
         raise ValueError(
             f"P(N_det = {n_det}) = 0 at eta = {eta}: observation impossible"
         )
-    return PhotonDistribution(weights / total)
+    q = eps * (1.0 - eta)
+    # From m_env undetected photons on, the step ratio p(N+1)/p(N) =
+    # q (m + n_det + 1)/(m + 1) is at most rho, so p(n_det + m_env + j) <=
+    # rho^j; evaluate to where that envelope's tail is below TAIL_MASS.
+    rho = 0.5 * (1.0 + q)
+    m_env = math.ceil(q * n_det / (rho - q))
+    m = np.arange(m_env + math.ceil(math.log(TAIL_MASS * (1.0 - rho))
+                                    / math.log(rho)) + 1)
+    body = (1.0 - q) * binomial_pmf(n_det, n_det + m, 1.0 - q)
+    # the step ratio falls with m, so once it is below 1 the tail past m is
+    # at most p ratio/(1 - ratio)
+    ratio = q * (m + n_det + 1) / (m + 1)
+    m_max = int(np.argmax((ratio < 1.0)
+                          & (body * ratio < TAIL_MASS * (1.0 - ratio))))
+    return PhotonDistribution(np.concatenate([np.zeros(n_det),
+                                              body[: m_max + 1]]))
 
 
 def posterior_bucket(state: PdcTwinBeam,
                      detector_loss: LossChannel) -> PhotonDistribution:
     """What an imperfect bucket click implies about the conjugate beam.
 
-    Mixture of the number-resolving posteriors weighted by the probability
-    of each N_det >= 1, i.e. conditioning on "any click at all". Unlike the
-    probe-loss case the tail above 1 survives: missed photons still reached
-    the sample.
+    Conditioning on "any click at all" reweights the prior by the click
+    probability: p(N | click) = p(N) (1 - (1-eta)^N) / P(click), with
+    P(click) = eps eta / (1 - eps + eps eta). Unlike the probe-loss case the
+    tail above 1 survives: missed photons still reached the sample. The tail
+    past n_max is below eps^(n_max+1) / P(click), which sets the support.
     """
     eps, eta = state.epsilon, detector_loss.eta
     if eps == 0.0 or eta == 0.0:
@@ -164,16 +187,12 @@ def posterior_bucket(state: PdcTwinBeam,
             f"bucket click impossible: eps = {eps}, eta = {eta} gives "
             "P(N_det >= 1) = 0"
         )
-    counts = detector_count_distribution(state, detector_loss)
-    p_click = 1.0 - counts.pmf[0]
-    mix = np.zeros(counts.n_max + 1)
-    for n_det in range(1, counts.n_max + 1):
-        w = counts.pmf[n_det]
-        if w == 0.0:
-            continue
-        post = posterior_number_resolving(state, n_det, detector_loss)
-        mix[: post.n_max + 1] += w * post.pmf
-    return PhotonDistribution(mix / p_click)
+    p_click = eps * eta / (1.0 - eps + eps * eta)
+    n_max = math.ceil(math.log(TAIL_MASS * p_click) / math.log(eps)) - 1
+    log_miss = math.log1p(-eta) if eta < 1.0 else -math.inf
+    click = np.zeros(n_max + 1)
+    click[1:] = -np.expm1(np.arange(1, n_max + 1) * log_miss)
+    return PhotonDistribution(pdc_marginal_pmf(state, n_max).pmf * click / p_click)
 
 
 def min_detectable_absorption(n_sig: float, heralded: bool) -> float:

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .dataset import Axis, FigureDataset
 from .squeezed import squeezed_precision
@@ -38,6 +37,14 @@ _STREAM_FRINGE = 12
 _STREAM_HOM = 13
 _STREAM_HOMODYNE = 14
 _STREAM_ABSORPTION = 15
+
+# Gauss-Newton fringe fit: start point (offset, amplitude, angular frequency),
+# iteration cap, step halvings tried per iteration, and the relative step
+# size that counts as converged.
+_FIT_P0 = (0.5, 0.5, 2.0)
+_FIT_MAX_ITER = 500
+_FIT_HALVINGS = 10
+_FIT_XTOL = 1e-12
 
 # The count-difference estimator linearizes the fringe around pi/2; past
 # this offset the fringe curvature biases it beyond the advertised std.
@@ -137,11 +144,7 @@ def simulate_noon_fringe(n_phase_points: int, trials: int,
     counts = rng.binomial(trials, np.clip(p_same, 0.0, 1.0))
     rate = counts / trials
 
-    def model(phi, c, a, omega):
-        return c + a * np.cos(omega * phi)
-
-    popt, _ = optimize.curve_fit(model, phases, rate, p0=(0.5, 0.5, 2.0))
-    c, a, omega = popt
+    c, a, omega = _fit_fringe(phases, rate)
     return FigureDataset(
         figure_id="noon-two-photon-fringe",
         axes=(Axis("phase", phases, "linear"),),
@@ -155,6 +158,39 @@ def simulate_noon_fringe(n_phase_points: int, trials: int,
             "describes": "P(same detector) = (1 + cos(2 phi))/2",
         },
     )
+
+
+def _fit_fringe(phi: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares fit of y = c + a cos(omega phi) by Gauss-Newton.
+
+    Each step is halved until the residual sum of squares stops rising,
+    which keeps sparse fringes (few points, few trials) from oscillating.
+    Raises RuntimeError when the iteration goes non-finite or has not
+    converged after _FIT_MAX_ITER steps.
+    """
+    def residual(theta):
+        return y - theta[0] - theta[1] * np.cos(theta[2] * phi)
+
+    theta = np.array(_FIT_P0)
+    r = residual(theta)
+    for _ in range(_FIT_MAX_ITER):
+        _, a, omega = theta
+        jac = np.column_stack([np.ones_like(phi), np.cos(omega * phi),
+                               -a * phi * np.sin(omega * phi)])
+        step = np.linalg.lstsq(jac, r, rcond=None)[0]
+        if not np.all(np.isfinite(step)):
+            raise RuntimeError("fringe fit diverged to a non-finite value")
+        if np.all(np.abs(step) <= _FIT_XTOL * (np.abs(theta) + _FIT_XTOL)):
+            return tuple(float(t) for t in theta + step)
+        rss = r @ r
+        for halving in range(_FIT_HALVINGS + 1):
+            trial = theta + step / 2**halving
+            r_trial = residual(trial)
+            if r_trial @ r_trial <= rss:
+                break
+        theta, r = trial, r_trial
+    raise RuntimeError(
+        f"fringe fit did not converge in {_FIT_MAX_ITER} Gauss-Newton steps")
 
 
 def simulate_hom(trials: int, distinguishable: bool,

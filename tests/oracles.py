@@ -1,12 +1,14 @@
 """Independent brute-force / Monte-Carlo oracles used by the test suite.
 
 Everything in here is deliberately written against the library: pure-python
-enumeration with math.comb, hand-rolled optimizers, and samplers that share
-no code path with the implementations they check.
+enumeration with math.comb, exact-ratio recurrences in 50-digit decimal
+arithmetic, hand-rolled optimizers, and samplers that share no code path with
+the implementations they check.
 """
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -82,6 +84,98 @@ def detector_side_bucket(epsilon: float, eta: float) -> list[float]:
     clicked = [sum(row[1:]) for row in joint]
     total = sum(clicked)
     return [c / total for c in clicked]
+
+
+# -- exact pmfs in 50-digit decimal arithmetic --------------------------------
+# math.comb times float powers overflows past n ~ 1030; these recurrences do
+# not, and carry 50 significant digits, so they can judge 1e-15 differences.
+
+DIGITS = 50
+
+
+def _ratio_walk(first: Decimal, ratio, length: int) -> list[Decimal]:
+    out = [first]
+    for k in range(length - 1):
+        out.append(out[-1] * ratio(k))
+    return out
+
+
+def exact_binomial(n: int, p: float) -> list[Decimal]:
+    """Binomial(n, p) at k = 0..n for the float p taken exactly."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        dp = Decimal(p)
+        if dp == 1:
+            return [Decimal(0)] * n + [Decimal(1)]
+        odds = dp / (1 - dp)
+        return _ratio_walk((1 - dp) ** n, lambda k: odds * (n - k) / (k + 1),
+                           n + 1)
+
+
+def exact_poisson(mean: float, length: int) -> list[Decimal]:
+    """Poisson(mean) at k = 0..length-1 for the float mean taken exactly."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        lam = Decimal(mean)
+        return _ratio_walk((-lam).exp(), lambda k: lam / (k + 1), length)
+
+
+def exact_bayes(prior_ratio, likelihood_ratio, first: int,
+                rel_cut: float = 1e-40) -> list[Decimal]:
+    """Normalized prior x likelihood over N >= first, zeros below first.
+
+    Both factors are given by their step ratios f(N+1)/f(N) at N; the walk
+    runs until the unnormalized weights fall below rel_cut of their peak
+    while still falling, so the mass left out is negligible at 1e-12.
+    """
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        w, n, peak = [Decimal(1)], first, Decimal(1)
+        while True:
+            nxt = w[-1] * prior_ratio(n) * likelihood_ratio(n)
+            n += 1
+            w.append(nxt)
+            peak = max(peak, nxt)
+            if nxt < w[-2] and nxt < peak * Decimal(rel_cut):
+                break
+        total = sum(w, Decimal(0))
+        return [Decimal(0)] * first + [x / total for x in w]
+
+
+def exact_posterior_number_resolving(epsilon: float, n_det: int,
+                                     eta: float) -> list[Decimal]:
+    """Bayes: prior (1-eps) eps^N, likelihood Binomial(N, eta) at n_det."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        e, miss = Decimal(epsilon), 1 - Decimal(eta)
+        return exact_bayes(lambda n: e,
+                           lambda n: miss * (n + 1) / (n + 1 - n_det), n_det)
+
+
+def exact_posterior_bucket(epsilon: float, eta: float) -> list[Decimal]:
+    """Bayes: prior (1-eps) eps^N, likelihood of a click 1 - (1-eta)^N."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        e, miss = Decimal(epsilon), 1 - Decimal(eta)
+        return exact_bayes(
+            lambda n: e, lambda n: (1 - miss ** (n + 1)) / (1 - miss ** n), 1)
+
+
+def exact_tv(pmf, exact: list[Decimal]) -> float:
+    """Total variation of a float pmf from an exact one of total mass one.
+
+    Exact mass beyond the float pmf's support counts in full, so a truncated
+    pmf pays for its missing tail.
+    """
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        pmf = [Decimal(float(x)) for x in pmf]
+        n = max(len(pmf), len(exact))
+        pmf += [Decimal(0)] * (n - len(pmf))
+        exact = list(exact) + [Decimal(0)] * (n - len(exact))
+        dev = sum((abs(a - b) for a, b in zip(pmf, exact)), Decimal(0))
+        dev += abs(1 - sum(exact, Decimal(0)))
+        return float(dev / 2)
 
 
 def total_variation(p, q) -> float:

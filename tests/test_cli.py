@@ -169,3 +169,18 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "sql_sample" in proc.stdout
+
+
+# Fit results that a Levenberg-Marquardt least-squares fit (scipy's
+# curve_fit, from the same start point) gives on these seeded samples.
+@pytest.mark.parametrize("extra, period, visibility, offset", [
+    ([], 3.141898813952725, 1.005697888094781, 0.4991382774109278),
+    (["--trials", "2000"], 3.1391452044971446, 1.000351216086686,
+     0.500412296471261),
+])
+def test_noon_fringe_fit_pinned(capsys, extra, period, visibility, offset):
+    assert run(["simulate", "noon-fringe", "--format", "json", *extra]) == 0
+    meta = json.loads(capsys.readouterr().out)["metadata"]
+    assert meta["fitted_period"] == pytest.approx(period, rel=1e-6)
+    assert meta["fitted_visibility"] == pytest.approx(visibility, rel=1e-6)
+    assert meta["fitted_offset"] == pytest.approx(offset, rel=1e-6)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from qoptkit import (
     BunchingClass,
     EtpaCoherence,
@@ -23,6 +24,7 @@ from qoptkit import (
     geometric_n_max,
     pdc_marginal_pmf,
 )
+from qoptkit.states import binomial_pmf, poisson_pmf
 
 
 def test_photon_distribution_validation():
@@ -227,3 +229,47 @@ def test_photon_variance_vs_phase_space_sampling():
     got = oracles.wigner_photon_variance(6.0, 0.2, 5.0, 0.7,
                                          samples=400_000, seed=20240823)
     assert got == pytest.approx(want, rel=0.02)
+
+
+# -- binomial and Poisson kernel against 50-digit references ------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 16, 17, 40, 1000])
+def test_binomial_pmf_against_exact(n):
+    # covers the exact stirlerr table (n <= 15) and the series above it
+    for p in (1e-4, 0.1, 0.5, 0.9, 0.999):
+        got = binomial_pmf(np.arange(n + 1), n, p)
+        assert oracles.exact_tv(got, oracles.exact_binomial(n, p)) <= 1e-14
+
+
+def test_binomial_pmf_large_n():
+    # a cumulative log-factorial table is off by TV ~2.6e-11 here
+    got = binomial_pmf(np.arange(3601), 3600, 0.5)
+    assert oracles.exact_tv(got, oracles.exact_binomial(3600, 0.5)) <= 1e-14
+
+
+def test_binomial_pmf_edges():
+    assert np.array_equal(binomial_pmf([0, 1, 2], 2, 0.0), [1.0, 0.0, 0.0])
+    assert np.array_equal(binomial_pmf([0, 1, 2], 2, 1.0), [0.0, 0.0, 1.0])
+    assert binomial_pmf(0, 0, 0.3) == 1.0
+    assert np.array_equal(binomial_pmf([-1, 3], 2, 0.3), [0.0, 0.0])
+    assert binomial_pmf(0, 5, 0.3) == pytest.approx(0.7**5, rel=1e-15)
+    assert binomial_pmf(5, 5, 0.3) == pytest.approx(0.3**5, rel=1e-15)
+    # broadcast over n at a fixed k, as the detector posterior uses it
+    n = np.arange(2, 6)
+    want = [math.comb(int(m), 2) * 0.3**2 * 0.7 ** (m - 2) for m in n]
+    assert np.allclose(binomial_pmf(2, n, 0.3), want, rtol=1e-14, atol=0)
+
+
+def test_poisson_pmf_edges():
+    assert np.array_equal(poisson_pmf(np.arange(3), 0.0), [1.0, 0.0, 0.0])
+    assert poisson_pmf(0, 2.5) == math.exp(-2.5)
+    assert poisson_pmf(3, 2.5) == pytest.approx(
+        math.exp(-2.5) * 2.5**3 / 6, rel=1e-15)
+
+
+@pytest.mark.parametrize("mean_n", [19.0, 274.0, 1030.0, 2000.0])
+def test_coherent_pmf_within_promise(mean_n):
+    # the 1e-12 total-variation promise, tail beyond n_max included
+    d = coherent_pmf(mean_n)
+    exact = oracles.exact_poisson(mean_n, d.n_max + 1)
+    assert oracles.exact_tv(d.pmf, exact) <= 1e-12
