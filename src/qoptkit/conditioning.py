@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (
+    MAX_SUPPORT,
     TAIL_MASS,
     PdcTwinBeam,
     PhotonDistribution,
@@ -127,6 +128,15 @@ def detector_count_distribution(state: PdcTwinBeam,
     return apply_loss(pdc_marginal_pmf(state), detector_loss)
 
 
+def _check_support(length: int) -> int:
+    if length > MAX_SUPPORT:
+        raise ValueError(
+            f"the posterior needs {length} support points to keep its tail "
+            f"under {TAIL_MASS}, over the limit of {MAX_SUPPORT}"
+        )
+    return length
+
+
 def posterior_number_resolving(state: PdcTwinBeam, n_det: int,
                                detector_loss: LossChannel) -> PhotonDistribution:
     """What an imperfect N_det count implies about the conjugate beam.
@@ -159,8 +169,9 @@ def posterior_number_resolving(state: PdcTwinBeam, n_det: int,
     # rho^j; evaluate to where that envelope's tail is below TAIL_MASS.
     rho = 0.5 * (1.0 + q)
     m_env = math.ceil(q * n_det / (rho - q))
-    m = np.arange(m_env + math.ceil(math.log(TAIL_MASS * (1.0 - rho))
-                                    / math.log(rho)) + 1)
+    m = np.arange(_check_support(
+        m_env + math.ceil(math.log(TAIL_MASS * (1.0 - rho)) / math.log(rho))
+        + 1))
     body = (1.0 - q) * binomial_pmf(n_det, n_det + m, 1.0 - q)
     # the step ratio falls with m, so once it is below 1 the tail past m is
     # at most p ratio/(1 - ratio)
@@ -188,7 +199,8 @@ def posterior_bucket(state: PdcTwinBeam,
             "P(N_det >= 1) = 0"
         )
     p_click = eps * eta / (1.0 - eps + eps * eta)
-    n_max = math.ceil(math.log(TAIL_MASS * p_click) / math.log(eps)) - 1
+    n_max = _check_support(
+        math.ceil(math.log(TAIL_MASS * p_click) / math.log(eps))) - 1
     log_miss = math.log1p(-eta) if eta < 1.0 else -math.inf
     click = np.zeros(n_max + 1)
     click[1:] = -np.expm1(np.arange(1, n_max + 1) * log_miss)

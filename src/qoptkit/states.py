@@ -28,6 +28,10 @@ import numpy as np
 # spare.
 NORM_TOL = 1e-9
 TAIL_MASS = 1e-16
+# Longest pmf a heralding posterior may evaluate. Its evaluation holds about
+# a dozen float arrays of that length, so this keeps one call near 200 MB;
+# longer supports are refused before anything is allocated.
+MAX_SUPPORT = 2**21
 
 
 @dataclass(frozen=True)

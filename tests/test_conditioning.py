@@ -219,3 +219,13 @@ def test_apply_loss_coherent_stays_poisson(eta):
     got = apply_loss(coherent_pmf(mean), LossChannel(eta))
     exact = oracles.exact_poisson(eta * mean, got.n_max + 1)
     assert oracles.exact_tv(got.pmf, exact) <= 1e-12
+
+
+def test_posteriors_refuse_oversized_support():
+    # near eps = 1 the exact posteriors need tens of millions of entries;
+    # both refuse before allocating them
+    with pytest.raises(ValueError, match="support points"):
+        posterior_number_resolving(PdcTwinBeam(0.999), 30_000,
+                                   LossChannel(0.001))
+    with pytest.raises(ValueError, match="support points"):
+        posterior_bucket(PdcTwinBeam(1.0 - 1e-7), LossChannel(0.5))
