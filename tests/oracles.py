@@ -7,6 +7,9 @@ the implementations they check.
 """
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from decimal import Decimal, localcontext
 
@@ -286,3 +289,42 @@ def noon_postselected_precision(n: int, eta: float, trials: int, repeats: int,
     # scale the per-experiment spread back to a single input state
     std = float(np.std(est, ddof=1)) * math.sqrt(trials)
     return std, std / math.sqrt(2.0 * len(est))
+
+
+# -- serialization ---------------------------------------------------------
+# The dataset writers as first written, one Python call per cell or per JSON
+# token; the library's column-wise writers must reproduce their bytes.
+
+
+def csv_reference(ds) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\r\n")  # RFC-4180 line endings
+    w.writerow(ds.header())
+    for row in ds.rows():
+        w.writerow([format(x, ".17g") for x in row])
+    return buf.getvalue()
+
+
+def json_reference(ds) -> str:
+    obj = {
+        "figure_id": ds.figure_id,
+        "axes": [
+            {"name": a.name, "scale": a.scale, "values": a.values.tolist()}
+            for a in ds.axes
+        ],
+        "columns": {k: v.tolist() for k, v in ds.columns.items()},
+        "metadata": _jsonable(ds.metadata),
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _jsonable(value):
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    return value
