@@ -55,6 +55,7 @@ from .montecarlo import (
 )
 from .noon import (
     NoonLossReport,
+    noon_best_precision,
     noon_enhancement,
     noon_flux_requirement,
     noon_optimal_n,

@@ -58,8 +58,8 @@ def _emit(dataset: FigureDataset, fmt: str, out: str | None) -> None:
 
 
 def _log_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    if lo <= 0 or hi <= lo or points < 2:
-        raise ValueError("grid needs 0 < min < max and at least 2 points")
+    if not 0.0 < lo < hi < math.inf or points < 2:
+        raise ValueError("grid needs 0 < min < max < inf and >= 2 points")
     return np.logspace(math.log10(lo), math.log10(hi), points)
 
 
@@ -256,6 +256,7 @@ def _require(args, names: list[str], context: str) -> None:
 
 def _cmd_limits(args) -> FigureDataset:
     n_sig, eta = args.n_sig, args.eta
+    limits.require_in(n_sig, "--n-sig", 0.0)
     n0 = 2.0 * n_sig
     values = {
         "sql_total": limits.sql_total(n0).delta_phi,

@@ -9,8 +9,13 @@ Serialization contract:
   CSV    header row, RFC-4180 quoting, numbers printed with 17 significant
          digits (lossless for binary64). Layout is long-form: one column per
          axis (values repeated row-major) followed by the value columns.
-  JSON   one object with keys figure_id, axes, columns, metadata; numbers as
-         native JSON floats (shortest round-trip text, also lossless).
+  JSON   one object with keys figure_id, axes, columns, metadata, laid out
+         as json.dumps(obj, indent=2) lays it out; numbers as native JSON
+         floats (shortest round-trip text, also lossless).
+
+Both are written column-wise in bounded chunks: CSV formats up to CSV_CHUNK
+rows with one %-format string, JSON renders each float list in one join.
+Either produces the same bytes as formatting cell by cell.
 
 Both writers go through an atomic temp-file + rename so a crashed run never
 leaves a truncated artifact behind.
@@ -28,6 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SCALES = ("linear", "log")
+# rows per %-format call: bounds the text held at once beside the output
+CSV_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -111,8 +118,6 @@ class FigureDataset:
         """Long-form table: axis columns tiled row-major, then value columns."""
         grids = np.meshgrid(*(a.values for a in self.axes), indexing="ij")
         axis_cols = [g.reshape(-1) for g in grids]
-        if not axis_cols:
-            axis_cols = []
         table = axis_cols + [self.columns[k] for k in self.columns]
         if not table:
             return np.empty((self.n_rows, 0))
@@ -124,21 +129,27 @@ class FigureDataset:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\r\n")  # RFC-4180 line endings
         w.writerow(self.header())
-        for row in self.rows():
-            w.writerow([format(x, ".17g") for x in row])
+        table = self.rows()
+        line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+        for start in range(0, len(table), CSV_CHUNK):
+            chunk = table[start:start + CSV_CHUNK]
+            buf.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
         return buf.getvalue()
 
     def to_json(self) -> str:
-        obj = {
-            "figure_id": self.figure_id,
-            "axes": [
-                {"name": a.name, "scale": a.scale, "values": a.values.tolist()}
-                for a in self.axes
-            ],
-            "columns": {k: v.tolist() for k, v in self.columns.items()},
-            "metadata": _jsonable(self.metadata),
-        }
-        return json.dumps(obj, indent=2) + "\n"
+        axes = [
+            '{\n      "name": %s,\n      "scale": %s,\n      "values": %s\n    }'
+            % (json.dumps(a.name), json.dumps(a.scale),
+               _json_floats(a.values, "      "))
+            for a in self.axes
+        ]
+        cols = ['%s: %s' % (json.dumps(k), _json_floats(v, "    "))
+                for k, v in self.columns.items()]
+        meta = json.dumps(_jsonable(self.metadata), indent=2)
+        return ('{\n  "figure_id": %s,\n  "axes": %s,\n  "columns": %s,\n'
+                '  "metadata": %s\n}\n'
+                % (json.dumps(self.figure_id), _json_block(axes, "[]", "  "),
+                   _json_block(cols, "{}", "  "), meta.replace("\n", "\n  ")))
 
     @classmethod
     def from_json(cls, text: str) -> "FigureDataset":
@@ -149,6 +160,21 @@ class FigureDataset:
         )
         cols = {k: np.asarray(v, dtype=float) for k, v in obj["columns"].items()}
         return cls(obj["figure_id"], axes, cols, obj["metadata"])
+
+
+def _json_block(items: list[str], brackets: str, indent: str) -> str:
+    """Rendered items as a json.dumps(indent=2) list or object at indent."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n"
+            + indent + brackets[1])
+
+
+def _json_floats(values: np.ndarray, indent: str) -> str:
+    """A float array as json.dumps(indent=2) writes its list at indent."""
+    return _json_block(list(map(float.__repr__, values.tolist())), "[]",
+                       indent)
 
 
 def _jsonable(value):

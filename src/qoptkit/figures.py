@@ -15,10 +15,11 @@ from .limits import (
     PowerConstraint,
     heisenberg,
     loss_bound,
+    require_in,
     sql_sample,
     squeezed_vacuum_crb,
 )
-from .noon import noon_enhancement, noon_optimal_n
+from .noon import noon_optimal_n
 from .squeezed import noon_vs_squeezed_grid, optimal_squeezing
 from .states import PdcTwinBeam
 
@@ -45,20 +46,19 @@ def fig_limits(n_sig_grid=None, eta_list=(0.5, 0.9, 0.99)) -> FigureDataset:
     grid = np.asarray(n_sig_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("n_sig grid must be a nonempty 1-d array")
-    if np.any(grid < 0.5):
-        raise ValueError("n_sig grid must be >= 0.5 so n0 = 2*n_sig >= 1")
+    # n_sig >= 0.5 so that n0 = 2*n_sig >= 1
+    require_in(grid, "n_sig grid", 0.5, lo_closed=True)
     eta_list = tuple(eta_list)
     if not eta_list:
         raise ValueError("eta list must be nonempty")
     cols: dict[str, np.ndarray] = {
-        "sql_sample": np.array([sql_sample(n).delta_phi for n in grid]),
-        "heisenberg_n0": np.array([heisenberg(2.0 * n).delta_phi for n in grid]),
-        "squeezed_vacuum_crb": np.array(
-            [squeezed_vacuum_crb(n).delta_phi for n in grid]),
+        "sql_sample": sql_sample(grid).delta_phi,
+        "heisenberg_n0": heisenberg(2.0 * grid).delta_phi,
+        "squeezed_vacuum_crb": squeezed_vacuum_crb(grid).delta_phi,
     }
     for eta in eta_list:
-        cols[f"loss_bound_eta_{_column_tag(eta)}"] = np.array(
-            [loss_bound(n, eta, PowerConstraint.SAMPLE).delta_phi for n in grid])
+        cols[f"loss_bound_eta_{_column_tag(eta)}"] = loss_bound(
+            grid, eta, PowerConstraint.SAMPLE).delta_phi
     return FigureDataset(
         figure_id="phase-precision-limits",
         axes=(Axis("n_sig", grid, "log"),),
@@ -83,14 +83,7 @@ def fig_noon_loss(eta_grid=None) -> FigureDataset:
     grid = np.asarray(eta_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("eta grid must be a nonempty 1-d array")
-    if np.any(grid <= 0) or np.any(grid >= 1):
-        raise ValueError("eta grid must lie strictly inside (0, 1)")
-    n_opt = np.empty_like(grid)
-    enh = np.empty_like(grid)
-    root = np.empty_like(grid)
-    for i, eta in enumerate(grid):
-        n, e, r = noon_optimal_n(eta)
-        n_opt[i], enh[i], root[i] = n, e, r
+    n_opt, enh, root = noon_optimal_n(grid)
     return FigureDataset(
         figure_id="noon-optimal-size",
         axes=(Axis("eta", grid, "linear"),),
@@ -119,19 +112,17 @@ def fig_squeezed_loss(eta_grid=None,
     grid = np.asarray(eta_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("eta grid must be a nonempty 1-d array")
-    if np.any(grid <= 0) or np.any(grid > 1):
-        raise ValueError("eta grid must lie in (0, 1]")
     n_sig_list = tuple(n_sig_list)
-    if not n_sig_list or any(n <= 0 for n in n_sig_list):
-        raise ValueError("n_sig list must be nonempty and positive")
+    if not n_sig_list:
+        raise ValueError("n_sig list must be nonempty")
+    # one row of reports per n_sig, one column per eta
+    r = optimal_squeezing(np.array(n_sig_list, dtype=float)[:, None], grid)
     cols: dict[str, np.ndarray] = {}
-    for n_sig in n_sig_list:
+    for i, n_sig in enumerate(n_sig_list):
         tag = _column_tag(n_sig)
-        reports = [optimal_squeezing(n_sig, eta) for eta in grid]
-        cols[f"v_opt_n_{tag}"] = np.array([r.v_opt for r in reports])
-        cols[f"n_nonclassical_n_{tag}"] = np.array(
-            [r.n_opt_nonclassical for r in reports])
-        cols[f"enhancement_n_{tag}"] = np.array([r.enhancement for r in reports])
+        cols[f"v_opt_n_{tag}"] = r.v_opt[i]
+        cols[f"n_nonclassical_n_{tag}"] = r.n_opt_nonclassical[i]
+        cols[f"enhancement_n_{tag}"] = r.enhancement[i]
     return FigureDataset(
         figure_id="squeezed-optimal-budget",
         axes=(Axis("eta", grid, "linear"),),

@@ -12,13 +12,17 @@ up, so they are explicit everywhere:
 
 The quantum Fisher information route is the single source of truth for
 variance-based bounds: sql_sample and squeezed_vacuum_crb are both thin
-wrappers over qfi_phase so the three can never drift apart.
+wrappers over qfi_phase so the three can never drift apart. The phase
+bounds take numpy arrays as well as scalars; require_in rejects any entry
+that is non-finite or out of range.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class PowerConstraint(enum.Enum):
@@ -44,22 +48,24 @@ class PrecisionResult:
     constraint: PowerConstraint
 
 
-def _require_positive(value: float, name: str) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
+def require_in(x, name: str, lo: float, hi: float = math.inf,
+               lo_closed: bool = False, hi_closed: bool = False) -> np.ndarray:
+    """x as a float array, after checking every entry is finite and in range.
 
-
-def _require_efficiency(eta: float) -> None:
-    # Strict interior: eta=0 kills the signal, eta=1 makes the loss bound 0
-    # and 1/(1-eta) style expressions blow up elsewhere.
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must lie strictly in (0, 1), got {eta!r}")
-
-
-def _require_transmission(eta: float) -> None:
-    # Lossless eta=1 is a legitimate limit here, unlike for loss_bound.
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
+    The interval runs from lo to hi, open at each end unless closed there.
+    NaN fails every comparison and inf fails the finiteness test, so neither
+    gets through; the ValueError names the input and its first bad entry.
+    """
+    a = np.asarray(x, dtype=float)
+    ok = (np.isfinite(a) & (a >= lo if lo_closed else a > lo)
+          & (a <= hi if hi_closed else a < hi))
+    if not np.all(ok):
+        bad = float(a.reshape(-1)[~ok.reshape(-1)][0])
+        interval = "%s%g, %g%s" % ("[" if lo_closed else "(", lo, hi,
+                                   "]" if hi_closed else ")")
+        raise ValueError(f"{name} must be finite and lie in {interval}, "
+                         f"got {bad!r}")
+    return a
 
 
 def qfi_phase(number_variance: float) -> tuple[float, float]:
@@ -68,15 +74,14 @@ def qfi_phase(number_variance: float) -> tuple[float, float]:
     F = 4 * V(n_sig) for a phase written on the sample arm; the bound is
     delta_phi >= 1/sqrt(F). Returns (fisher, crb).
     """
-    _require_positive(number_variance, "number variance")
-    fisher = 4.0 * number_variance
-    return fisher, 1.0 / math.sqrt(fisher)
+    fisher = 4.0 * require_in(number_variance, "number variance", 0.0)
+    return fisher, 1.0 / np.sqrt(fisher)
 
 
 def sql_total(n0: float) -> PrecisionResult:
     """Shot-noise limit 1/sqrt(n0) referred to the total input power."""
-    _require_positive(n0, "n0")
-    return PrecisionResult(1.0 / math.sqrt(n0), BoundFamily.SQL_TOTAL,
+    n0 = require_in(n0, "n0", 0.0)
+    return PrecisionResult(1.0 / np.sqrt(n0), BoundFamily.SQL_TOTAL,
                            PowerConstraint.TOTAL)
 
 
@@ -86,23 +91,23 @@ def sql_sample(n_sig: float) -> PrecisionResult:
     A coherent probe has V(n_sig) = n_sig, so this is the Cramer-Rao bound
     at Poisson number variance.
     """
-    _require_positive(n_sig, "n_sig")
+    require_in(n_sig, "n_sig", 0.0)
     _, crb = qfi_phase(n_sig)
     return PrecisionResult(crb, BoundFamily.SQL_SAMPLE, PowerConstraint.SAMPLE)
 
 
 def qnl(n0: float, eta: float) -> PrecisionResult:
     """Shot-noise limit after transmission eta: 1/sqrt(eta * n0)."""
-    _require_positive(n0, "n0")
-    _require_transmission(eta)
-    return PrecisionResult(1.0 / math.sqrt(eta * n0), BoundFamily.QNL,
+    n0 = require_in(n0, "n0", 0.0)
+    # lossless eta = 1 is a legitimate limit here, unlike for loss_bound
+    eta = require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
+    return PrecisionResult(1.0 / np.sqrt(eta * n0), BoundFamily.QNL,
                            PowerConstraint.TOTAL)
 
 
 def heisenberg(n0: float) -> PrecisionResult:
     """Heisenberg scaling 1/n0. Meaningful only for n0 >= 1."""
-    if n0 < 1:
-        raise ValueError(f"Heisenberg bound needs n0 >= 1, got {n0!r}")
+    n0 = require_in(n0, "n0", 1.0, lo_closed=True)
     return PrecisionResult(1.0 / n0, BoundFamily.HEISENBERG, PowerConstraint.TOTAL)
 
 
@@ -116,13 +121,14 @@ def loss_bound(n: float, eta: float,
     No probe state, entangled or not, beats this through a channel of
     transmission eta.
     """
-    _require_positive(n, "photon number")
-    _require_efficiency(eta)
-    scale = math.sqrt((1.0 - eta) / eta)
+    n = require_in(n, "photon number", 0.0)
+    # strict interior: at eta = 1 the floor is 0, at eta = 0 it diverges
+    eta = require_in(eta, "eta", 0.0, 1.0)
+    scale = np.sqrt((1.0 - eta) / eta)
     if constraint is PowerConstraint.TOTAL:
-        dphi = scale / math.sqrt(n)
+        dphi = scale / np.sqrt(n)
     elif constraint is PowerConstraint.SAMPLE:
-        dphi = scale / (2.0 * math.sqrt(n))
+        dphi = scale / (2.0 * np.sqrt(n))
     else:
         raise ValueError(f"unknown power constraint {constraint!r}")
     return PrecisionResult(dphi, BoundFamily.LOSS, constraint)
@@ -134,7 +140,7 @@ def loss_transition_n0(eta: float) -> float:
     Setting sqrt((1-eta)/eta)/sqrt(n0) = 1/n0 gives n0 = eta/(1-eta); below
     it Heisenberg scaling is the binding constraint, above it loss is.
     """
-    _require_efficiency(eta)
+    require_in(eta, "eta", 0.0, 1.0)
     return eta / (1.0 - eta)
 
 
@@ -145,7 +151,7 @@ def squeezed_vacuum_crb(n: float) -> PrecisionResult:
     delta_phi = (1/(2 sqrt(2))) (n^2 + n)^{-1/2}: Heisenberg scaling from a
     Gaussian state.
     """
-    _require_positive(n, "n")
+    n = require_in(n, "n", 0.0)
     _, crb = qfi_phase(2.0 * (n * n + n))
     return PrecisionResult(crb, BoundFamily.SQUEEZED_VACUUM_CRB,
                            PowerConstraint.SAMPLE)
@@ -156,7 +162,7 @@ def squeezed_vacuum_crb(n: float) -> PrecisionResult:
 
 def diffraction_limit(wavelength: float, numerical_aperture: float) -> float:
     """Transverse two-point resolution x_min = lambda / (2 NA)."""
-    _require_positive(wavelength, "wavelength")
+    require_in(wavelength, "wavelength", 0.0)
     if not 0.0 < numerical_aperture <= 1.5:
         raise ValueError(f"NA must lie in (0, 1.5], got {numerical_aperture!r}")
     return wavelength / (2.0 * numerical_aperture)
@@ -167,8 +173,8 @@ def oct_coherence_length(center_wavelength: float, bandwidth: float) -> float:
 
     l_c = (4 ln 2 / pi) * lambda^2 / dlambda for FWHM bandwidth dlambda.
     """
-    _require_positive(center_wavelength, "center wavelength")
-    _require_positive(bandwidth, "bandwidth")
+    require_in(center_wavelength, "center wavelength", 0.0)
+    require_in(bandwidth, "bandwidth", 0.0)
     return (4.0 * math.log(2.0) / math.pi) * center_wavelength**2 / bandwidth
 
 
@@ -177,7 +183,7 @@ def oct_sensitivity(n_sig: float) -> float:
 
     The smallest detectable reflectivity is 1/S.
     """
-    _require_positive(n_sig, "n_sig")
+    require_in(n_sig, "n_sig", 0.0)
     return n_sig / 4.0
 
 
@@ -191,10 +197,10 @@ def dipole_scattering_fraction(radius: float, wavelength_in_medium: float,
     ratio; the scattered fraction of a beam of waist w is sigma/(4 pi w^2).
     Returns (sigma, fraction).
     """
-    _require_positive(radius, "radius")
-    _require_positive(wavelength_in_medium, "wavelength")
-    _require_positive(index_ratio, "index ratio")
-    _require_positive(beam_waist, "beam waist")
+    require_in(radius, "radius", 0.0)
+    require_in(wavelength_in_medium, "wavelength", 0.0)
+    require_in(index_ratio, "index ratio", 0.0)
+    require_in(beam_waist, "beam waist", 0.0)
     k = 2.0 * math.pi / wavelength_in_medium
     m2 = index_ratio * index_ratio
     sigma = (8.0 * math.pi / 3.0) * k**4 * radius**6 * ((m2 - 1.0) / (m2 + 2.0)) ** 2

@@ -17,11 +17,18 @@ maximum in N for every eta < 1; the maximizing N solves
 
     N*ln(eta) + eta^N + 1 = 0
 
-(the continuous stationarity condition), with the physical optimum being the
-best integer near that root.
+(the continuous stationarity condition). In x = N ln(eta) it reads
+x + e^x + 1 = 0, whose root is x* = -(1 + W(1/e)) = -1.278464542761074
+(Lambert W; Corless et al., Adv. Comput. Math. 5, 329 (1996)), so
+
+    N* = -1.278464542761074 / ln(eta)
+
+in closed form, with the physical optimum being the best integer near N*.
 
 eta^-N overflows double precision already at modest N for small eta, so all
-evaluations of eta^-N + 1 go through logaddexp.
+evaluations of eta^-N + 1 go through logaddexp. noon_enhancement,
+noon_optimal_n and noon_best_precision take numpy arrays as well as scalars
+and evaluate elementwise, so whole grids go through one call.
 """
 from __future__ import annotations
 
@@ -32,12 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Axis, FigureDataset
-from .limits import PowerConstraint, loss_bound, sql_sample
+from .limits import PowerConstraint, loss_bound, require_in, sql_sample
 
 # Integer search never ranges past this; above it eta^-N either underflows
 # the enhancement to 0 or the optimum is far beyond any plotted regime.
 N_SEARCH_MAX = 200
-ROOT_TOL = 1e-10
+# x* = -(1 + W(1/e)), the root of x + e^x + 1 = 0
+STATIONARY_X = -1.278464542761074
 
 
 @dataclass(frozen=True)
@@ -57,51 +65,59 @@ class NoonLossReport:
         return abs(self.m_repetitions - round(self.m_repetitions)) < 1e-9
 
 
-def _check_eta(eta: float, allow_one: bool) -> None:
-    hi_ok = eta <= 1.0 if allow_one else eta < 1.0
-    if not (0.0 < eta and hi_ok):
-        bracket = "(0, 1]" if allow_one else "(0, 1)"
-        raise ValueError(f"eta must lie in {bracket}, got {eta!r}")
-
-
 def _check_n(n: float, minimum: int = 1) -> None:
     if n < minimum or abs(n - round(n)) > 1e-9:
         raise ValueError(f"N must be an integer >= {minimum}, got {n!r}")
 
 
-def _log1p_eta_negn(n: float, eta: float) -> float:
+def _backend(*args):
+    """math when every argument is a scalar, numpy otherwise.
+
+    numpy's vectorised exp and log differ from libm in the last bit for a
+    few percent of arguments, and N ln(eta) amplifies a change in ln(eta)
+    N|ln eta|-fold, so scalar results keep libm and stay bit-stable.
+    """
+    return math if all(np.ndim(x) == 0 for x in args) else np
+
+
+def _log1p_eta_negn(n, eta, xp):
     """log(eta^-N + 1), overflow-safe."""
-    return float(np.logaddexp(-n * math.log(eta), 0.0))
+    return np.logaddexp(-n * xp.log(eta), 0.0)
 
 
-def _exp_or_inf(x: float) -> float:
-    return math.exp(x) if x < 709.0 else math.inf
+def _exp_or_inf(x, xp):
+    if xp is math:
+        return math.exp(x) if x < 709.0 else math.inf
+    with np.errstate(over="ignore"):
+        return np.exp(x)
 
 
 def noon_single_shot(n: float, eta: float) -> float:
     """One-state precision sqrt((eta^-N + 1)/2)/N; equals 1/N at eta=1."""
     _check_n(n)
-    _check_eta(eta, allow_one=True)
-    return _exp_or_inf(0.5 * (_log1p_eta_negn(n, eta) - math.log(2.0))) / n
+    require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
+    log1p = _log1p_eta_negn(n, eta, math)
+    return _exp_or_inf(0.5 * (log1p - math.log(2.0)), math) / n
 
 
-def noon_enhancement(n: float, eta: float) -> float:
+def noon_enhancement(n, eta):
     """Precision gain over the shot-noise limit: E = sqrt(N/(eta^-N + 1)).
 
     Exposure-independent: both the repeated-NOON precision and the shot-noise
     limit scale as 1/sqrt(n_sig). E > 1 is beyond-classical operation.
     """
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n!r}")
-    _check_eta(eta, allow_one=True)
-    return math.exp(0.5 * (math.log(n) - _log1p_eta_negn(n, eta)))
+    n = require_in(n, "N", 1.0, lo_closed=True)
+    eta = require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
+    xp = _backend(n, eta)
+    return xp.exp(0.5 * (xp.log(n) - _log1p_eta_negn(n, eta, xp)))
 
 
-def _delta_phi_m(n: float, eta: float, n_sig: float) -> float:
+def _delta_phi_m(n, eta, n_sig):
     # real-valued core shared by the report path and the smooth curves
+    xp = _backend(n, eta, n_sig)
     return _exp_or_inf(
-        0.5 * (_log1p_eta_negn(n, eta) - math.log(n))
-    ) / (2.0 * math.sqrt(n_sig))
+        0.5 * (_log1p_eta_negn(n, eta, xp) - xp.log(n)), xp
+    ) / (2.0 * xp.sqrt(n_sig))
 
 
 def noon_repeated(n: float, eta: float, n_sig: float) -> NoonLossReport:
@@ -111,7 +127,7 @@ def noon_repeated(n: float, eta: float, n_sig: float) -> NoonLossReport:
     left real-valued; the report flags when it is not a whole number.
     """
     _check_n(n)
-    _check_eta(eta, allow_one=True)
+    require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
     if n_sig < n / 2.0:
         raise ValueError(
             f"n_sig = {n_sig} cannot complete one N={n} state: need n_sig >= N/2"
@@ -145,54 +161,43 @@ def noon_threshold_efficiency(n: int) -> float:
     return (n - 1.0) ** (-1.0 / n)
 
 
-def _stationarity(n: float, log_eta: float) -> float:
-    # f(N) = N ln(eta) + eta^N + 1, strictly decreasing from f(0) = 2
-    return n * log_eta + math.exp(n * log_eta) + 1.0
-
-
-def _bisect_to_residual(f, lo: float, hi: float, tol: float) -> float:
-    """Bisection driven by the residual |f|, not the bracket width."""
-    flo = f(lo)
-    for _ in range(20000):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if abs(fmid) < tol:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    raise ArithmeticError("bisection failed to reach the residual tolerance")
-
-
-def noon_optimal_n(eta: float) -> tuple[int, float, float]:
+def noon_optimal_n(eta):
     """Best integer photon number per state at efficiency eta.
 
-    Returns (n_opt, enhancement, root) where root solves the continuous
-    stationarity condition to |f| < 1e-10 and n_opt is the enhancement-argmax
-    over the integers bracketing it (ties to the smaller N, floor at 1).
+    Returns (n_opt, enhancement, root). root = STATIONARY_X / ln(eta) is the
+    closed-form stationary point, and n_opt the enhancement-argmax over the
+    integers next to it (ties to the smaller N, floor at 1, capped at
+    N_SEARCH_MAX). A scalar eta gives (int, float, float); an array gives
+    three arrays of its shape.
     """
-    _check_eta(eta, allow_one=False)
-    log_eta = math.log(eta)
-    f = lambda n: _stationarity(n, log_eta)
-    hi = 1.0
-    while f(hi) > 0:
-        hi *= 2.0
-        if hi > 2**40:
-            raise ArithmeticError("failed to bracket the stationarity root")
-    root = _bisect_to_residual(f, hi / 2.0 if hi > 1.0 else 0.0, hi, ROOT_TOL)
-    lo_n = max(1, math.floor(root) - 1)
-    hi_n = min(N_SEARCH_MAX, math.ceil(root) + 1)
-    if lo_n > hi_n:
-        # root beyond the search bound; enhancement still rises up to the
-        # root, so the best admissible integer is the bound itself
-        lo_n = hi_n = N_SEARCH_MAX
-    best_n, best_e = lo_n, -1.0
-    for cand in range(lo_n, hi_n + 1):
-        e = noon_enhancement(cand, eta)
-        if e > best_e:  # strict: equal values keep the smaller N
-            best_n, best_e = cand, e
-    return best_n, best_e, root
+    eta = require_in(eta, "eta", 0.0, 1.0)
+    root = STATIONARY_X / _backend(eta).log(eta)
+    # E rises up to the root and falls after it, so the best integer is
+    # floor(root) or ceil(root), or the cap when the root lies past it
+    base = np.maximum(1.0, np.floor(root) - 1.0)
+    cands = np.minimum(base[..., None] + np.arange(4.0), N_SEARCH_MAX)
+    enh = noon_enhancement(cands, eta[..., None])
+    pick = np.argmax(enh, axis=-1)[..., None]  # first: ties keep smaller N
+    n_opt = np.take_along_axis(cands, pick, -1)[..., 0]
+    best = np.take_along_axis(enh, pick, -1)[..., 0]
+    if np.ndim(root) == 0:
+        return int(n_opt), float(best), float(root)
+    return n_opt.astype(int), best, root
+
+
+def noon_best_precision(eta, n_sig, n_opt):
+    """Best NOON precision at exposure n_sig, and the photon number in play.
+
+    Below the kink at n_sig = n_opt/2 a single state with N = 2*n_sig (real-
+    valued idealization) beats any repetition strategy; above it, repeating
+    the n_opt-photon state of noon_optimal_n wins. Both branches evaluate
+    identically at the kink; n_opt = inf (lossless) keeps the single state
+    everywhere. Broadcasts over its arguments; returns (delta_phi, n_state).
+    """
+    eta = require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
+    n_sig = require_in(n_sig, "n_sig", 0.0)
+    n_state = np.where(n_sig <= n_opt / 2.0, 2.0 * n_sig, n_opt)
+    return _delta_phi_m(n_state, eta, n_sig), n_state
 
 
 def noon_flux_requirement(n: float, target_sql_n_sig: float,
@@ -218,46 +223,32 @@ def noon_flux_requirement(n: float, target_sql_n_sig: float,
 def noon_precision_curve(eta: float, n_sig_grid) -> FigureDataset:
     """Best NOON precision vs sample exposure, with its reference lines.
 
-    Below the kink at n_sig = n_opt/2 a single state with N = 2*n_sig (real-
-    valued idealization) beats any repetition strategy; above it, repeating
-    the optimal integer-N state wins. Both branches evaluate identically at
-    the kink. Columns: delta_phi, n_state (the N in play), sql_sample and
-    loss_bound references. The loss reference is reported as 0 at eta=1.
+    Columns: delta_phi and n_state (the N in play) from noon_best_precision,
+    and the sql_sample and loss_bound references. The loss reference is
+    reported as 0 at eta=1.
     """
-    _check_eta(eta, allow_one=True)
+    require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
     grid = np.asarray(n_sig_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("n_sig grid must be a nonempty 1-d array")
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("n_sig grid must be positive and strictly ascending")
+    require_in(grid, "n_sig grid", 0.0)
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("n_sig grid must be strictly ascending")
     if eta < 1.0:
         n_opt, _, root = noon_optimal_n(eta)
-        kink = n_opt / 2.0
+        floor = loss_bound(grid, eta, PowerConstraint.SAMPLE).delta_phi
     else:
         n_opt, root = math.inf, math.inf  # lossless: bigger N always helps
-        kink = math.inf
-    dphi = np.empty_like(grid)
-    n_state = np.empty_like(grid)
-    for i, ns in enumerate(grid):
-        if ns <= kink:
-            n_state[i] = 2.0 * ns
-        else:
-            n_state[i] = n_opt
-        dphi[i] = _delta_phi_m(n_state[i], eta, ns)
-    sql = np.array([sql_sample(ns).delta_phi for ns in grid])
-    if eta < 1.0:
-        floor = np.array([
-            loss_bound(ns, eta, PowerConstraint.SAMPLE).delta_phi for ns in grid
-        ])
-    else:
         floor = np.zeros_like(grid)
+    dphi, n_state = noon_best_precision(eta, grid, n_opt)
+    kink = n_opt / 2.0
     return FigureDataset(
         figure_id="noon-precision-curve",
         axes=(Axis("n_sig", grid, "log"),),
         columns={
             "delta_phi": dphi,
             "n_state": n_state,
-            "sql_sample": sql,
+            "sql_sample": sql_sample(grid).delta_phi,
             "loss_bound": floor,
         },
         metadata={

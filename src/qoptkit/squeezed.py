@@ -29,16 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Axis, FigureDataset
-from .limits import sql_sample
-from .noon import _delta_phi_m, noon_optimal_n
+from .limits import require_in, sql_sample
+from .noon import noon_best_precision, noon_optimal_n
 
 
-def _check_eta(eta: float) -> None:
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
+def _check_eta(eta):
+    return require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
 
 
-def _loss_noise(eta: float) -> float:
+def _loss_noise(eta):
     # vacuum admixed by the channel, in variance units: (1-eta)/eta
     return (1.0 - eta) / eta
 
@@ -50,18 +49,15 @@ def squeezed_precision(alpha: float, v_sqz: float, eta: float) -> float:
     probe (v_sqz = 1) without loss. Any v_sqz < 1 beats the quantum noise
     limit of the same lossy apparatus.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha!r}")
-    if v_sqz <= 0:
-        raise ValueError(f"v_sqz must be > 0, got {v_sqz!r}")
-    _check_eta(eta)
-    return math.sqrt(v_sqz + _loss_noise(eta)) / (2.0 * alpha)
+    alpha = require_in(alpha, "alpha", 0.0)
+    v_sqz = require_in(v_sqz, "v_sqz", 0.0)
+    eta = _check_eta(eta)
+    return np.sqrt(v_sqz + _loss_noise(eta)) / (2.0 * alpha)
 
 
 def squeezing_photon_cost(v_sqz: float) -> float:
     """Photons locked up in the squeezed fluctuations: (V + 1/V - 2)/4."""
-    if v_sqz <= 0:
-        raise ValueError(f"v_sqz must be > 0, got {v_sqz!r}")
+    v_sqz = require_in(v_sqz, "v_sqz", 0.0)
     return (v_sqz + 1.0 / v_sqz - 2.0) / 4.0
 
 
@@ -71,18 +67,16 @@ def squeezed_precision_budget(n_sig: float, v_sqz: float, eta: float) -> float:
     dphi = sqrt((V + (1-eta)/eta) / (4 n_sig - V - 1/V + 2)). Requires the
     budget to leave a positive alpha^2, i.e. 4 n_sig > V + 1/V - 2.
     """
-    if n_sig <= 0:
-        raise ValueError(f"n_sig must be > 0, got {n_sig!r}")
-    if not 0.0 < v_sqz <= 1.0:
-        raise ValueError(f"v_sqz must lie in (0, 1], got {v_sqz!r}")
-    _check_eta(eta)
-    amp2 = n_sig - squeezing_photon_cost(v_sqz)
-    if amp2 <= 0:
+    n = require_in(n_sig, "n_sig", 0.0)
+    v = require_in(v_sqz, "v_sqz", 0.0, 1.0, hi_closed=True)
+    eta = _check_eta(eta)
+    amp2 = n - squeezing_photon_cost(v)
+    if np.any(amp2 <= 0):
         raise ValueError(
             f"squeezing to v_sqz = {v_sqz} consumes the whole budget "
             f"n_sig = {n_sig}: need 4*n_sig > V + 1/V - 2"
         )
-    return math.sqrt((v_sqz + _loss_noise(eta)) / (4.0 * amp2))
+    return np.sqrt((v + _loss_noise(eta)) / (4.0 * amp2))
 
 
 @dataclass(frozen=True)
@@ -104,10 +98,9 @@ def optimal_v_sqz(n_sig: float, eta: float) -> float:
     Always in (0, 1]; tends to 1 (no squeezing) as eta -> 0 and to
     1/(2 n_sig + 1) as eta -> 1.
     """
-    if n_sig <= 0:
-        raise ValueError(f"n_sig must be > 0, got {n_sig!r}")
-    _check_eta(eta)
-    disc = math.sqrt(4.0 * eta * (1.0 - eta) * n_sig + 1.0)
+    n_sig = require_in(n_sig, "n_sig", 0.0)
+    eta = _check_eta(eta)
+    disc = np.sqrt(4.0 * eta * (1.0 - eta) * n_sig + 1.0)
     return (eta + disc) / (4.0 * eta * n_sig + eta + 1.0)
 
 
@@ -143,13 +136,6 @@ def default_n_sig_grid(n_points: int = 200) -> np.ndarray:
     return np.logspace(0.0, 2.0, n_points)
 
 
-def _noon_optimal_delta_phi(eta: float, n_sig: float, n_opt: int) -> float:
-    # below the kink a single 2*n_sig-photon state (real-valued N) wins
-    if n_sig <= n_opt / 2.0:
-        return _delta_phi_m(2.0 * n_sig, eta, n_sig)
-    return _delta_phi_m(n_opt, eta, n_sig)
-
-
 def noon_vs_squeezed_grid(eta_grid=None, n_sig_grid=None) -> FigureDataset:
     """Ratio of optimal-NOON to optimal-squeezed precision on a 2-d grid.
 
@@ -165,19 +151,13 @@ def noon_vs_squeezed_grid(eta_grid=None, n_sig_grid=None) -> FigureDataset:
         raise ValueError("eta grid must be a nonempty 1-d array")
     if n_sig_grid.ndim != 1 or len(n_sig_grid) == 0:
         raise ValueError("n_sig grid must be a nonempty 1-d array")
-    if np.any(eta_grid <= 0) or np.any(eta_grid >= 1):
-        raise ValueError("eta grid must lie strictly inside (0, 1)")
-    if np.any(n_sig_grid <= 0) or np.any(n_sig_grid > 100):
-        raise ValueError("n_sig grid must lie in (0, 100]")
+    require_in(eta_grid, "eta grid", 0.0, 1.0)
+    require_in(n_sig_grid, "n_sig grid", 0.0, 100.0, hi_closed=True)
 
-    ratio = np.empty((len(eta_grid), len(n_sig_grid)))
-    for i, eta in enumerate(eta_grid):
-        n_opt, _, _ = noon_optimal_n(eta)
-        for j, ns in enumerate(n_sig_grid):
-            noon = _noon_optimal_delta_phi(eta, ns, n_opt)
-            sqz = optimal_squeezing(ns, eta).delta_phi
-            ratio[i, j] = noon / sqz
-    flat = ratio.reshape(-1)
+    eta, n_sig = eta_grid[:, None], n_sig_grid[None, :]
+    n_opt, _, _ = noon_optimal_n(eta)
+    noon, _ = noon_best_precision(eta, n_sig, n_opt)
+    flat = (noon / optimal_squeezing(n_sig, eta).delta_phi).reshape(-1)
     i_min, i_max = int(np.argmin(flat)), int(np.argmax(flat))
     return FigureDataset(
         figure_id="noon-vs-squeezed-ratio",

@@ -79,17 +79,17 @@ GOLDEN = {
     ("fig-limits", "json"):
         "b8a09d0a70b8de9e4e2355ecf79a8747a5563e385c862976f1ebdc113f6aebb2",
     ("fig-noon-loss", "csv"):
-        "eaf8f73e4af40eaed8a4ff3b0108ed2c2498b23f2539095b1bec6cda426ab31f",
+        "2d0da1b9551ff65970e7e6955c573cfe40e1f8d0c7be076475b6b9a176d1b77a",
     ("fig-noon-loss", "json"):
-        "9ac5a3bc268ef8c95adca9d8aa2ee42d5783a6a0b1f1009c61dd7f0ed1908a0a",
+        "71c3a97b805f52001e31440f01bf120fb5503f4f82828cb569e0cebc45c512c2",
     ("fig-squeezed-loss", "csv"):
         "afc34aefaa45bb7090548656b1ba5ac1325f87ea2e5268ecdd4a5b8f53a4a9dc",
     ("fig-squeezed-loss", "json"):
         "4873163289f51dfc2be754fef82cf37fefcd81f9153ff5c2e82596fc4a027006",
     ("fig-compare", "csv"):
-        "633aaaeba8a120576dc0510de56d40ef605164f319535254e1a19f81e2b6fef3",
+        "3836193858f0c83c03490c14543210d8812bcce167609ae734769c3019ecc33d",
     ("fig-compare", "json"):
-        "72c6553d9b5c6ac0fe30b03bfb098d2cba3e1c2801e0c437ce195f6a3cdcf800",
+        "c41bdd81687cf092085940c257e27768539b1a1a88bc4ef5e046007db641ff2a",
     ("fig-conditional-detector-bucket", "csv"):
         "c9bdafe3e6837c76817200d52839222ef65d1c6ecbf66f9490769865b0657d7e",
     ("fig-conditional-detector-bucket", "json"):
@@ -111,25 +111,25 @@ GOLDEN = {
     ("noon-threshold", "json"):
         "9bb551295f9821a54f9b255e363c40a93b320d47f7dfb20d5a335394324e0359",
     ("noon-optimal", "csv"):
-        "423c32804d83c4514fc7dba2721c9b703e5c80074965e42c1b1969dec2538232",
+        "ec0247cd241f5417cbd3d4ad4584bcc168b2332f941a5be96154f7bb8d126062",
     ("noon-optimal", "json"):
-        "2f210f9e643b8641ca081bc975447f2f68e5bcbbd980acc3abddac4cb46d964b",
+        "f274d01ed7981ce5b2af12ff6d3a7c4319a646ca98d86d98eca8cbce15c71c13",
     ("noon-optimal-bound", "csv"):
-        "72ddfcba0b0bffa96b9706b01aa13f370af04713126be00847f010ef497753c7",
+        "d873625de39e48ef872d38dfe6378f512e2c9dcd0f0b854a6f24d9b0a781b4be",
     ("noon-optimal-bound", "json"):
-        "465352be30f030a119d5bec29ab05863b62e86f9a0f5e14d6127a4744a2471e5",
+        "e2d29e3ade7b51eb3d89ef84bad93ac27b0dc15495564c9038129e33ed058cee",
     ("noon-optimal-low", "csv"):
-        "c64d2e5e7ccf10a9650f14dfe954f69574347b012daa59e14d796922075dfabc",
+        "dfcbc2bebca9409654a0aff02d922f6f90ed525b7fabe7e7128e997e73d248a8",
     ("noon-optimal-low", "json"):
-        "51c35e9fd68fbf7ac19210fb2a426699d78654d90bb700918c80376f179c11a5",
+        "74ddb44297bb93a666a9ebe7d0457e0516b58d131917e39d7c78d9f9335160d9",
     ("noon-curve", "csv"):
-        "92eafcdf9ceaee8704841613b1784a46634c14d65002f9b7fa6f0b3fe6b180de",
+        "e9e49e67460e6a55968ba6318be8a135abbdb7d7e123a1f8ac52cf04c1b03acf",
     ("noon-curve", "json"):
-        "a7cce055874766a1bc9e69c30388be2eb440b1c3c61388752772e6773f322d14",
+        "234ddf0a57402f6a1b8af50a90764c0f4b68f4a3e25ab21459d5509145593b58",
     ("noon-curve-lossless", "csv"):
-        "954561e78337bcd53bfda21e6608594ca28c3a0bb8418923691452183796d72d",
+        "0d6e429ebafc6fd37d2ee7d1db62001d5dd7698172e94d9a9d1bc6e0208bb216",
     ("noon-curve-lossless", "json"):
-        "d45932590ab685b83cfd63c08cd98a209fa75c2777c99d3818594b26563d6293",
+        "19f6005d7ba3714997bee39b5b6c2deadf27db90f0227b56b7435f35d9279e72",
     ("noon-flux", "csv"):
         "6932de4a2d78e1e667cb0a0923cf10b76d2fc6d148a1e40f37823ca122808b27",
     ("noon-flux", "json"):
@@ -151,9 +151,9 @@ GOLDEN = {
     ("squeezed-alpha", "json"):
         "6cb906efbec3f2f54085a6534e3fbeaf8925e3e17c7e87f361f5ca6a0ca5b0df",
     ("compare", "csv"):
-        "ea483ccbd2268adfa64e9163c1960167313b02e0055bed58a33de0d46cf193ca",
+        "1dcd3e11a0f641aaeb16dbe278be2e1c856c2d9c801cfd061fc0b7d2aa47ee14",
     ("compare", "json"):
-        "f7b008a8847abfdcc2597c7cf714d536969126a7056f4c981b6c9d882d973f84",
+        "36c19207f97f2e0700d5d5c0774f4deef8f53343366c694c39111af548ce1968",
     ("condition-probe-nr", "csv"):
         "ce19914fe005236004760bf69310fa968f9eae83d40dbb2ceb021d16b057241a",
     ("condition-probe-nr", "json"):
