@@ -28,8 +28,8 @@ import numpy as np
 # spare.
 NORM_TOL = 1e-9
 TAIL_MASS = 1e-16
-# Longest pmf a heralding posterior may evaluate. Its evaluation holds about
-# a dozen float arrays of that length, so this keeps one call near 200 MB;
+# Longest support check_support admits. A heralding posterior holds about a
+# dozen float arrays of that length, so this keeps one call near 200 MB;
 # longer supports are refused before anything is allocated.
 MAX_SUPPORT = 2**21
 
@@ -234,7 +234,7 @@ def pdc_marginal_pmf(state: PdcTwinBeam, n_max: int | None = None) -> PhotonDist
     eps = state.epsilon
     if n_max is None:
         n_max = geometric_n_max(eps)
-    n = np.arange(n_max + 1)
+    n = np.arange(check_support(n_max + 1))
     return PhotonDistribution((1.0 - eps) * eps**n)
 
 
@@ -243,6 +243,16 @@ def geometric_n_max(epsilon: float) -> int:
     if epsilon == 0.0:
         return 0
     return math.ceil(math.log(TAIL_MASS) / math.log(epsilon))
+
+
+def check_support(length: int) -> int:
+    """Return length, or raise ValueError if it exceeds MAX_SUPPORT."""
+    if length > MAX_SUPPORT:
+        raise ValueError(
+            f"the pmf needs {length} support points to keep its tail "
+            f"under {TAIL_MASS}, over the limit of {MAX_SUPPORT}"
+        )
+    return length
 
 
 def distribution_moments(d: PhotonDistribution) -> tuple[float, float]:

@@ -123,6 +123,33 @@ def exact_poisson(mean: float, length: int) -> list[Decimal]:
         return _ratio_walk((-lam).exp(), lambda k: lam / (k + 1), length)
 
 
+def exact_thinned_geometric(epsilon: float, eta: float,
+                            length: int) -> list[Decimal]:
+    """Geometric (1-eps) eps^N thinned by eta: geometric in eps' =
+    eta eps / (1 - eps + eta eps), at k = 0..length-1."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        e, t = Decimal(epsilon), Decimal(eta)
+        e2 = t * e / (1 - e + t * e)
+        return _ratio_walk(1 - e2, lambda k: e2, length)
+
+
+def exact_probe_bucket(epsilon: float, eta: float,
+                       length: int) -> list[Decimal]:
+    """Click-conditioned geometric (N >= 1) thinned by eta, for eps > 0.
+
+    The prior is (1-eps) delta_0 + eps (1 + Geom(eps)), and thinning is
+    linear, so the thinned click-conditioned law is the thinned geometric
+    minus (1-eps) delta_0, divided by eps.
+    """
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        e = Decimal(epsilon)
+        out = [x / e for x in exact_thinned_geometric(epsilon, eta, length)]
+        out[0] -= (1 - e) / e
+        return out
+
+
 def exact_bayes(prior_ratio, likelihood_ratio, first: int,
                 rel_cut: float = 1e-40) -> list[Decimal]:
     """Normalized prior x likelihood over N >= first, zeros below first.

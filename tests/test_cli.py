@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -169,6 +171,34 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "sql_sample" in proc.stdout
+
+
+def test_probe_bucket_near_unit_epsilon_is_fast():
+    # the thinned click-conditioned prior is closed form: 36 826 rows here
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qoptkit.cli", "condition", "--side", "probe",
+         "--detector", "bucket", "--epsilon", "0.999"],
+        capture_output=True, text=True)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0
+    assert proc.stdout.count("\n") == 36_826
+    assert elapsed < 5.0
+
+
+def test_oversized_support_refused_before_allocating(capsys):
+    # the eta = 1 column alone would hold 36.8 M entries
+    tracemalloc.start()
+    try:
+        code = run(["condition", "--side", "probe", "--detector", "bucket",
+                    "--epsilon", "0.999999"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "over the limit of 2097152" in err
+    assert peak < 10 * 2**20
 
 
 # Fit results that a Levenberg-Marquardt least-squares fit (scipy's

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qoptkit import (
     posterior_bucket,
     posterior_number_resolving,
 )
+from qoptkit.conditioning import BLOCK
 
 weights = st.lists(st.floats(min_value=0.01, max_value=1.0),
                    min_size=2, max_size=10)
@@ -219,6 +221,62 @@ def test_apply_loss_coherent_stays_poisson(eta):
     got = apply_loss(coherent_pmf(mean), LossChannel(eta))
     exact = oracles.exact_poisson(eta * mean, got.n_max + 1)
     assert oracles.exact_tv(got.pmf, exact) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                               2 * BLOCK + 1])
+@pytest.mark.parametrize("eta", [0.0, 1e-3, 0.37, 0.999, 1.0])
+def test_apply_loss_fock_across_block_edges(n, eta):
+    got = apply_loss(delta_distribution(n), LossChannel(eta)).pmf
+    p = Fraction(eta)
+    for k in range(n + 1):
+        want = math.comb(n, k) * p**k * (1 - p) ** (n - k)
+        # entries below the normal float range lose their relative precision
+        slack = Fraction(1e-12) * want + Fraction(1e-300)
+        assert abs(Fraction(got[k]) - want) <= slack
+
+
+@pytest.mark.parametrize("eta", [1e-3, 0.05, 0.5, 0.999])
+def test_apply_loss_long_coherent_stays_poisson(eta):
+    mean = 2000.0
+    got = apply_loss(coherent_pmf(mean), LossChannel(eta))
+    exact = oracles.exact_poisson(eta * mean, got.n_max + 1)
+    assert oracles.exact_tv(got.pmf, exact) <= 1e-12
+
+
+def test_exact_geometric_laws_match_enumeration():
+    # the closed-form oracles below, checked once against direct thinning
+    for eta in (0.1, 0.4, 0.7, 1.0):
+        want = oracles.thin_pmf(oracles.geometric_pmf_list(0.5), eta)
+        got = oracles.exact_thinned_geometric(0.5, eta, len(want))
+        assert oracles.total_variation([float(x) for x in got], want) < 1e-14
+        want = oracles.probe_side_bucket(0.5, eta)
+        got = oracles.exact_probe_bucket(0.5, eta, len(want))
+        assert oracles.total_variation([float(x) for x in got], want) < 1e-14
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.99, 0.999])
+@pytest.mark.parametrize("eta", [1e-3, 0.5, 0.999, 1.0])
+def test_thinned_geometrics_against_exact_laws(eps, eta):
+    got = condition_probe_bucket(PdcTwinBeam(eps), LossChannel(eta))
+    exact = oracles.exact_probe_bucket(eps, eta, got.n_max + 1)
+    assert oracles.exact_tv(got.pmf, exact) <= 1e-12
+    got = detector_count_distribution(PdcTwinBeam(eps), LossChannel(eta))
+    exact = oracles.exact_thinned_geometric(eps, eta, got.n_max + 1)
+    assert oracles.exact_tv(got.pmf, exact) <= 1e-12
+
+
+def test_geometric_supports_refuse_oversize():
+    # eps = 0.999999 puts the 1e-16 point of the prior at 36.8 M photons
+    state = PdcTwinBeam(0.999999)
+    for build in (lambda: pdc_marginal_pmf(state),
+                  lambda: condition_probe_bucket(state, LossChannel(1.0)),
+                  lambda: detector_count_distribution(state, LossChannel(0.5))):
+        with pytest.raises(ValueError, match="support points"):
+            build()
+    # a posterior whose own support fits still works past the prior's cap
+    d = posterior_number_resolving(state, 3, LossChannel(0.5))
+    assert d.n_max < 200
 
 
 def test_posteriors_refuse_oversized_support():

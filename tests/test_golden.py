@@ -159,9 +159,9 @@ GOLDEN = {
     ("condition-probe-nr", "json"):
         "324820146399a07ff912ee4186394e51bd4b9585ae29f1d8fec5429a39042eda",
     ("condition-probe-bucket", "csv"):
-        "d79a90c033787d70e4aa3d785aa84b47aedc84581ede3d1940e5a5310f57a095",
+        "d55f626d51bb0d75878db9c6607dc1fe589d22e6d5b5fbf6135ac4c5ffcf2853",
     ("condition-probe-bucket", "json"):
-        "318a6c4c7f6754e78637547625021c457edf5708b0b5b55ce4901a7e7147d22b",
+        "dcc0fce38307d186983d537bc2f6afb7b89e33a42266da0dc1f632622b07c32e",
     ("condition-detector-nr", "csv"):
         "f3274b7e094dc90b9ba44909872aeaa0271a92c3b8e240ebf2055181ea348f44",
     ("condition-detector-nr", "json"):
