@@ -22,6 +22,7 @@ import numpy as np
 from . import figures, limits, montecarlo, noon, squeezed
 from .conditioning import DetectorKind
 from .dataset import FigureDataset, write_text_atomic
+from .domain import MAX_CELLS, MAX_PHOTONS, check_size, require_in, require_int
 from .montecarlo import DEFAULT_SEED, SimConfig
 
 OUT_DIR_ENV = "QOPTKIT_OUT_DIR"
@@ -57,17 +58,21 @@ def _emit(dataset: FigureDataset, fmt: str, out: str | None) -> None:
         write_text_atomic(path, text)
 
 
-def _log_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    if not 0.0 < lo < hi < math.inf or points < 2:
-        raise ValueError("grid needs 0 < min < max < inf and >= 2 points")
-    return np.logspace(math.log10(lo), math.log10(hi), points)
+def _n_sig_grid(args) -> np.ndarray:
+    require_in(args.n_sig_min, "--n-sig-min", 0.0)
+    require_in(args.n_sig_max, "--n-sig-max", args.n_sig_min)
+    points = require_int(args.n_sig_points, "--n-sig-points", 2)
+    return np.logspace(math.log10(args.n_sig_min), math.log10(args.n_sig_max),
+                       check_size(points, MAX_CELLS, "grid cells"))
 
 
-def _eta_grid_log_loss(eta_min: float, eta_max: float, points: int) -> np.ndarray:
-    if not 0.0 < eta_min < eta_max < 1.0 or points < 2:
-        raise ValueError("eta grid needs 0 < min < max < 1 and >= 2 points")
-    return 1.0 - np.logspace(
-        math.log10(1.0 - eta_min), math.log10(1.0 - eta_max), points)
+def _eta_grid_log_loss(args) -> np.ndarray:
+    require_in(args.eta_min, "--eta-min", 0.0, 1.0)
+    require_in(args.eta_max, "--eta-max", args.eta_min, 1.0)
+    points = require_int(args.eta_points, "--eta-points", 2)
+    return 1.0 - np.logspace(math.log10(1.0 - args.eta_min),
+                             math.log10(1.0 - args.eta_max),
+                             check_size(points, MAX_CELLS, "grid cells"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,7 +261,7 @@ def _require(args, names: list[str], context: str) -> None:
 
 def _cmd_limits(args) -> FigureDataset:
     n_sig, eta = args.n_sig, args.eta
-    limits.require_in(n_sig, "--n-sig", 0.0)
+    require_in(n_sig, "--n-sig", 0.0)
     n0 = 2.0 * n_sig
     values = {
         "sql_total": limits.sql_total(n0).delta_phi,
@@ -288,8 +293,7 @@ def _cmd_noon(args) -> FigureDataset:
             {"eta": args.eta})
     if args.curve:
         _require(args, ["eta"], "--curve")
-        grid = _log_grid(args.n_sig_min, args.n_sig_max, args.n_sig_points)
-        return noon.noon_precision_curve(args.eta, grid)
+        return noon.noon_precision_curve(args.eta, _n_sig_grid(args))
     if args.flux:
         _require(args, ["n", "target-rate"], "--flux")
         constraint = (limits.PowerConstraint.TOTAL if args.total_power
@@ -324,9 +328,8 @@ def _cmd_squeezed(args) -> FigureDataset:
 
 
 def _cmd_compare(args) -> FigureDataset:
-    eta_grid = _eta_grid_log_loss(args.eta_min, args.eta_max, args.eta_points)
-    n_grid = _log_grid(args.n_sig_min, args.n_sig_max, args.n_sig_points)
-    return squeezed.noon_vs_squeezed_grid(eta_grid, n_grid)
+    return squeezed.noon_vs_squeezed_grid(_eta_grid_log_loss(args),
+                                          _n_sig_grid(args))
 
 
 def _cmd_condition(args) -> FigureDataset:
@@ -364,6 +367,9 @@ def _cmd_simulate(args) -> FigureDataset:
             {"alpha_true": args.alpha_true, "n_sig": args.n_sig,
              "heralded": args.heralded, "trials": args.trials,
              "seed": args.seed})
+    # checked before squaring, which would overflow past 1.3e154
+    require_in(args.alpha, "--alpha", 0.0, math.sqrt(MAX_PHOTONS),
+               hi_closed=True)
     cfg = SimConfig(seed=args.seed, trials=args.trials, phase=args.phase,
                     n_photons=args.alpha**2, eta=args.eta)
     report = montecarlo.simulate_homodyne_squeezed(cfg, args.v_sqz)
@@ -410,7 +416,10 @@ def run(argv) -> int:
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:
-        dataset = _DISPATCH[args.command](args)
+        # an overflow surfaces as a non-finite column, which FigureDataset
+        # refuses by name, so numpy's own warning would only repeat it
+        with np.errstate(all="ignore"):
+            dataset = _DISPATCH[args.command](args)
         _emit(dataset, args.format, args.out)
         return 0
     except ValueError as exc:

@@ -22,7 +22,7 @@ On the geometric twin-beam prior both posteriors have closed forms: after
 N_det counts the undetected photons N - N_det follow a negative binomial,
 and a bucket click ("at least one photon") reweights the prior by the click
 probability 1 - (1-eta)^N. Each pmf sizes its support from its own tail,
-and every such support passes states.check_support before allocation.
+and every such support passes domain.check_size before allocation.
 """
 from __future__ import annotations
 
@@ -32,12 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import check_size, require_in, require_int
 from .states import (
     TAIL_MASS,
     PdcTwinBeam,
     PhotonDistribution,
     binomial_pmf,
-    check_support,
     geometric_n_max,
     pdc_marginal_pmf,
 )
@@ -53,8 +53,7 @@ class LossChannel:
     eta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"transmissivity must lie in [0, 1], got {self.eta!r}")
+        require_in(self.eta, "eta", 0.0, 1.0, True, True)
 
 
 class DetectorKind(enum.Enum):
@@ -68,8 +67,7 @@ class DetectorModel:
     efficiency: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency!r}")
+        require_in(self.efficiency, "efficiency", 0.0, 1.0, True, True)
 
 
 def apply_loss(d: PhotonDistribution, channel: LossChannel) -> PhotonDistribution:
@@ -101,7 +99,7 @@ def apply_loss(d: PhotonDistribution, channel: LossChannel) -> PhotonDistributio
     return PhotonDistribution(h[: len(d.pmf)])
 
 
-def condition_probe_number_resolving(state: PdcTwinBeam, n_det: int,
+def condition_probe_number_resolving(n_det: int,
                                      probe_loss: LossChannel) -> PhotonDistribution:
     """Probe statistics after an ideal N_det count, with loss before the sample.
 
@@ -109,10 +107,8 @@ def condition_probe_number_resolving(state: PdcTwinBeam, n_det: int,
     exactly n_det photons; thinning then gives Binomial(n_det, eta). The
     sample can never see more than n_det photons.
     """
-    if n_det < 0:
-        raise ValueError("detected photon number must be >= 0")
-    return PhotonDistribution(
-        binomial_pmf(np.arange(n_det + 1), n_det, probe_loss.eta))
+    k = np.arange(check_size(require_int(n_det, "n_det", 0) + 1))
+    return PhotonDistribution(binomial_pmf(k, n_det, probe_loss.eta))
 
 
 def _thinned_ratio(epsilon: float, eta: float) -> float:
@@ -155,8 +151,7 @@ def posterior_number_resolving(state: PdcTwinBeam, n_det: int,
 
     The support ends where the posterior's own tail drops below TAIL_MASS.
     """
-    if n_det < 0:
-        raise ValueError("detected photon number must be >= 0")
+    require_int(n_det, "n_det", 0)
     eps, eta = state.epsilon, detector_loss.eta
     n_prior = geometric_n_max(eps)
     if n_det > n_prior:
@@ -174,7 +169,7 @@ def posterior_number_resolving(state: PdcTwinBeam, n_det: int,
     # rho^j; evaluate to where that envelope's tail is below TAIL_MASS.
     rho = 0.5 * (1.0 + q)
     m_env = math.ceil(q * n_det / (rho - q))
-    m = np.arange(check_support(
+    m = np.arange(check_size(
         m_env + math.ceil(math.log(TAIL_MASS * (1.0 - rho)) / math.log(rho))
         + 1))
     body = (1.0 - q) * binomial_pmf(n_det, n_det + m, 1.0 - q)
@@ -204,7 +199,7 @@ def posterior_bucket(state: PdcTwinBeam,
             "P(N_det >= 1) = 0"
         )
     p_click = _thinned_ratio(eps, eta)  # P(N_det >= 1) at eta
-    n_max = check_support(
+    n_max = check_size(
         math.ceil(math.log(TAIL_MASS * p_click) / math.log(eps))) - 1
     log_miss = math.log1p(-eta) if eta < 1.0 else -math.inf
     click = np.zeros(n_max + 1)
@@ -219,6 +214,5 @@ def min_detectable_absorption(n_sig: float, heralded: bool) -> float:
     single-photon stream removes the source shot noise and reaches
     alpha ~ n_sig^(-1).
     """
-    if n_sig <= 0:
-        raise ValueError(f"n_sig must be > 0, got {n_sig!r}")
+    require_in(n_sig, "n_sig", 0.0)
     return 1.0 / n_sig if heralded else 1.0 / math.sqrt(n_sig)

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domain import require_grid, require_in
+
 SCALES = ("linear", "log")
 # rows per %-format call: bounds the text held at once beside the output
 CSV_CHUNK = 1024
@@ -46,14 +48,10 @@ class Axis:
     scale: str = "linear"
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
         if self.scale not in SCALES:
             raise ValueError(f"axis scale must be one of {SCALES}, got {self.scale!r}")
-        if v.ndim != 1 or len(v) == 0:
-            raise ValueError("axis values must form a nonempty 1-d grid")
-        if np.any(~np.isfinite(v)):
-            raise ValueError("axis values must be finite")
+        v = require_grid(self.values, f"axis {self.name!r}", -math.inf)
+        object.__setattr__(self, "values", v)
         d = np.diff(v)
         if len(d) and not (np.all(d > 0) or np.all(d < 0)):
             raise ValueError(f"axis {self.name!r} is not strictly monotone")
@@ -83,8 +81,7 @@ class FigureDataset:
                     f"column {name!r} has length {v.size}, expected {n} "
                     "(product of axis lengths)"
                 )
-            if np.any(~np.isfinite(v)):
-                raise ValueError(f"column {name!r} contains non-finite values")
+            require_in(v, f"column {name!r}", -math.inf)
         clash = {a.name for a in self.axes} & set(cols)
         if clash:
             raise ValueError(f"axis and column names collide: {sorted(clash)}")

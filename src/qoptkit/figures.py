@@ -11,11 +11,11 @@ import numpy as np
 from . import conditioning as cond
 from .conditioning import DetectorKind, LossChannel
 from .dataset import Axis, FigureDataset
+from .domain import require_grid
 from .limits import (
     PowerConstraint,
     heisenberg,
     loss_bound,
-    require_in,
     sql_sample,
     squeezed_vacuum_crb,
 )
@@ -43,14 +43,10 @@ def fig_limits(n_sig_grid=None, eta_list=(0.5, 0.9, 0.99)) -> FigureDataset:
     """
     if n_sig_grid is None:
         n_sig_grid = np.logspace(0.0, 6.0, 121)
-    grid = np.asarray(n_sig_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise ValueError("n_sig grid must be a nonempty 1-d array")
     # n_sig >= 0.5 so that n0 = 2*n_sig >= 1
-    require_in(grid, "n_sig grid", 0.5, lo_closed=True)
+    grid = require_grid(n_sig_grid, "n_sig grid", 0.5, lo_closed=True)
     eta_list = tuple(eta_list)
-    if not eta_list:
-        raise ValueError("eta list must be nonempty")
+    require_grid(eta_list, "eta", 0.0, 1.0)
     cols: dict[str, np.ndarray] = {
         "sql_sample": sql_sample(grid).delta_phi,
         "heisenberg_n0": heisenberg(2.0 * grid).delta_phi,
@@ -80,9 +76,7 @@ def fig_noon_loss(eta_grid=None) -> FigureDataset:
     """
     if eta_grid is None:
         eta_grid = np.linspace(0.5, 0.99, 99)
-    grid = np.asarray(eta_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise ValueError("eta grid must be a nonempty 1-d array")
+    grid = require_grid(eta_grid, "eta", 0.0, 1.0)
     n_opt, enh, root = noon_optimal_n(grid)
     return FigureDataset(
         figure_id="noon-optimal-size",
@@ -109,14 +103,11 @@ def fig_squeezed_loss(eta_grid=None,
     """
     if eta_grid is None:
         eta_grid = np.linspace(0.01, 1.0, 100)
-    grid = np.asarray(eta_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise ValueError("eta grid must be a nonempty 1-d array")
+    grid = require_grid(eta_grid, "eta", 0.0, 1.0, hi_closed=True)
     n_sig_list = tuple(n_sig_list)
-    if not n_sig_list:
-        raise ValueError("n_sig list must be nonempty")
     # one row of reports per n_sig, one column per eta
-    r = optimal_squeezing(np.array(n_sig_list, dtype=float)[:, None], grid)
+    r = optimal_squeezing(require_grid(n_sig_list, "n_sig", 0.0)[:, None],
+                          grid)
     cols: dict[str, np.ndarray] = {}
     for i, n_sig in enumerate(n_sig_list):
         tag = _column_tag(n_sig)
@@ -145,7 +136,7 @@ def _panel_pmf(side: str, detector: DetectorKind, state: PdcTwinBeam,
     channel = LossChannel(eta)
     if side == PROBE:
         if detector is DetectorKind.NUMBER_RESOLVING:
-            return cond.condition_probe_number_resolving(state, n_det, channel)
+            return cond.condition_probe_number_resolving(n_det, channel)
         return cond.condition_probe_bucket(state, channel)
     if side == DETECTOR:
         if detector is DetectorKind.NUMBER_RESOLVING:
@@ -166,8 +157,7 @@ def fig_conditional(side: str, detector: DetectorKind,
     panels condition on a click.
     """
     eta_list = tuple(eta_list)
-    if not eta_list:
-        raise ValueError("eta list must be nonempty")
+    require_grid(eta_list, "eta", 0.0, 1.0, True, True)
     state = PdcTwinBeam(epsilon)
     pmfs = [
         _panel_pmf(side, detector, state, eta, n_det) for eta in eta_list

@@ -13,8 +13,8 @@ up, so they are explicit everywhere:
 The quantum Fisher information route is the single source of truth for
 variance-based bounds: sql_sample and squeezed_vacuum_crb are both thin
 wrappers over qfi_phase so the three can never drift apart. The phase
-bounds take numpy arrays as well as scalars; require_in rejects any entry
-that is non-finite or out of range.
+bounds take numpy arrays as well as scalars; domain.require_in rejects any
+entry that is non-finite or out of range.
 """
 from __future__ import annotations
 
@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .domain import require_in
 
 
 class PowerConstraint(enum.Enum):
@@ -46,26 +48,6 @@ class PrecisionResult:
     delta_phi: float
     family: BoundFamily
     constraint: PowerConstraint
-
-
-def require_in(x, name: str, lo: float, hi: float = math.inf,
-               lo_closed: bool = False, hi_closed: bool = False) -> np.ndarray:
-    """x as a float array, after checking every entry is finite and in range.
-
-    The interval runs from lo to hi, open at each end unless closed there.
-    NaN fails every comparison and inf fails the finiteness test, so neither
-    gets through; the ValueError names the input and its first bad entry.
-    """
-    a = np.asarray(x, dtype=float)
-    ok = (np.isfinite(a) & (a >= lo if lo_closed else a > lo)
-          & (a <= hi if hi_closed else a < hi))
-    if not np.all(ok):
-        bad = float(a.reshape(-1)[~ok.reshape(-1)][0])
-        interval = "%s%g, %g%s" % ("[" if lo_closed else "(", lo, hi,
-                                   "]" if hi_closed else ")")
-        raise ValueError(f"{name} must be finite and lie in {interval}, "
-                         f"got {bad!r}")
-    return a
 
 
 def qfi_phase(number_variance: float) -> tuple[float, float]:
@@ -163,8 +145,7 @@ def squeezed_vacuum_crb(n: float) -> PrecisionResult:
 def diffraction_limit(wavelength: float, numerical_aperture: float) -> float:
     """Transverse two-point resolution x_min = lambda / (2 NA)."""
     require_in(wavelength, "wavelength", 0.0)
-    if not 0.0 < numerical_aperture <= 1.5:
-        raise ValueError(f"NA must lie in (0, 1.5], got {numerical_aperture!r}")
+    require_in(numerical_aperture, "NA", 0.0, 1.5, hi_closed=True)
     return wavelength / (2.0 * numerical_aperture)
 
 

@@ -26,6 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Axis, FigureDataset
+from .domain import (
+    MAX_CELLS,
+    MAX_PHOTONS,
+    MAX_TRIALS,
+    check_size,
+    require_in,
+    require_int,
+)
 from .squeezed import squeezed_precision
 
 DEFAULT_SEED = 97531
@@ -52,9 +60,8 @@ _MZ_PHASE_WINDOW = 0.35
 
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must fit in 64 bits, got {seed!r}")
-    key = np.array([seed, stream], dtype=np.uint64)
+    key = np.array([require_int(seed, "seed", 0, 2**64 - 1), stream],
+                   dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -73,12 +80,11 @@ class SimConfig:
     eta: float = 1.0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.n_photons <= 0:
-            raise ValueError("photon number must be > 0")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta!r}")
+        check_size(require_int(self.trials, "trials", 1), MAX_TRIALS, "trials")
+        require_in(self.phase, "phase", -math.pi, math.pi, True, True)
+        require_in(self.n_photons, "n_photons", 0.0, MAX_PHOTONS,
+                   hi_closed=True)
+        require_in(self.eta, "eta", 0.0, 1.0, hi_closed=True)
 
 
 @dataclass(frozen=True)
@@ -106,15 +112,10 @@ def simulate_coherent_mz(cfg: SimConfig) -> SimReport:
     near the half-fringe point; its std is 1/sqrt(eta*n0) at any operating
     phase (the two Poisson variances always sum to eta*n0).
     """
-    if cfg.trials < 100:
-        raise ValueError("trials must be >= 100 for a meaningful std estimate")
-    if cfg.n_photons < 100:
-        raise ValueError("n0 must be >= 100 (counting regime)")
-    if abs(cfg.phase - math.pi / 2.0) > _MZ_PHASE_WINDOW:
-        raise ValueError(
-            f"operating phase {cfg.phase} is too far from pi/2 "
-            f"(linear window +- {_MZ_PHASE_WINDOW})"
-        )
+    require_int(cfg.trials, "trials", 100)  # a meaningful std estimate
+    require_in(cfg.n_photons, "n0", 100.0, lo_closed=True)  # counting regime
+    require_in(cfg.phase, "operating phase", math.pi / 2.0 - _MZ_PHASE_WINDOW,
+               math.pi / 2.0 + _MZ_PHASE_WINDOW, True, True)
     n0, eta = cfg.n_photons, cfg.eta
     rng = _generator(cfg.seed, _STREAM_MZ)
     mean_a = eta * n0 * (1.0 + math.cos(cfg.phase)) / 2.0
@@ -134,10 +135,10 @@ def simulate_noon_fringe(n_phase_points: int, trials: int,
     doubled fringe shows up as period 2*pi/omega = pi and the fit results
     land in the metadata (fitted_period, fitted_visibility).
     """
-    if n_phase_points < 5:
-        raise ValueError("need at least 5 phase points to resolve the fringe")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    # at least 5 phase points resolve the fringe
+    check_size(require_int(n_phase_points, "phase points", 5), MAX_CELLS,
+               "grid cells")
+    check_size(require_int(trials, "trials", 1), MAX_TRIALS, "trials")
     rng = _generator(seed, _STREAM_FRINGE)
     phases = np.linspace(0.0, 2.0 * math.pi, n_phase_points)
     p_same = (1.0 + np.cos(2.0 * phases)) / 2.0
@@ -201,8 +202,8 @@ def simulate_hom(trials: int, distinguishable: bool,
     every trial, so the cross rate is exactly 0. Distinguishable photons
     route independently and coincide half the time.
     """
-    if trials < 1000:
-        raise ValueError("trials must be >= 1000 to resolve the rate")
+    # enough trials to resolve the rate
+    check_size(require_int(trials, "trials", 1000), MAX_TRIALS, "trials")
     rng = _generator(seed, _STREAM_HOM)
     if distinguishable:
         port_1 = rng.integers(0, 2, trials)
@@ -221,10 +222,8 @@ def simulate_homodyne_squeezed(cfg: SimConfig, v_sqz: float) -> SimReport:
     inverts the mean: phi_hat = y/(2*alpha*sqrt(eta)). The analytic std is
     sqrt(v_sqz + (1-eta)/eta)/(2*alpha).
     """
-    if v_sqz <= 0:
-        raise ValueError(f"v_sqz must be > 0, got {v_sqz!r}")
-    if cfg.trials < 100:
-        raise ValueError("trials must be >= 100 for a meaningful std estimate")
+    require_in(v_sqz, "v_sqz", 0.0)
+    require_int(cfg.trials, "trials", 100)  # a meaningful std estimate
     alpha2 = cfg.n_photons
     if alpha2 < 100.0 * max(1.0, v_sqz):
         raise ValueError(
@@ -250,13 +249,10 @@ def simulate_heralded_absorption(alpha_true: float, n_sig: int, heralded: bool,
     inflating the variance to (1-alpha)/n_sig. Both use
     alpha_hat = 1 - k/n_sig.
     """
-    if not 0.0 < alpha_true < 1.0:
-        raise ValueError(f"absorption must lie in (0, 1), got {alpha_true!r}")
-    if n_sig < 1 or n_sig != int(n_sig):
-        raise ValueError("n_sig must be a positive integer photon count")
-    if trials < 100:
-        raise ValueError("trials must be >= 100 for a meaningful std estimate")
-    n_sig = int(n_sig)
+    require_in(alpha_true, "absorption", 0.0, 1.0)
+    n_sig = int(require_int(n_sig, "n_sig", 1, MAX_PHOTONS))
+    # enough trials for a meaningful std estimate
+    check_size(require_int(trials, "trials", 100), MAX_TRIALS, "trials")
     rng = _generator(seed, _STREAM_ABSORPTION)
     if heralded:
         k = rng.binomial(n_sig, 1.0 - alpha_true, trials)

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Axis, FigureDataset
-from .limits import PowerConstraint, loss_bound, require_in, sql_sample
+from .domain import require_grid, require_in, require_int
+from .limits import PowerConstraint, loss_bound, sql_sample
 
 # Integer search never ranges past this; above it eta^-N either underflows
 # the enhancement to 0 or the optimum is far beyond any plotted regime.
@@ -63,11 +64,6 @@ class NoonLossReport:
     def integer_repetitions(self) -> bool:
         """False when M = 2*n_sig/N is a real-valued idealization."""
         return abs(self.m_repetitions - round(self.m_repetitions)) < 1e-9
-
-
-def _check_n(n: float, minimum: int = 1) -> None:
-    if n < minimum or abs(n - round(n)) > 1e-9:
-        raise ValueError(f"N must be an integer >= {minimum}, got {n!r}")
 
 
 def _backend(*args):
@@ -94,7 +90,7 @@ def _exp_or_inf(x, xp):
 
 def noon_single_shot(n: float, eta: float) -> float:
     """One-state precision sqrt((eta^-N + 1)/2)/N; equals 1/N at eta=1."""
-    _check_n(n)
+    require_int(n, "N", 1)
     require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
     log1p = _log1p_eta_negn(n, eta, math)
     return _exp_or_inf(0.5 * (log1p - math.log(2.0)), math) / n
@@ -126,8 +122,8 @@ def noon_repeated(n: float, eta: float, n_sig: float) -> NoonLossReport:
     Requires n_sig >= N/2 so at least one full state fits the exposure. M is
     left real-valued; the report flags when it is not a whole number.
     """
-    _check_n(n)
-    require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
+    require_int(n, "N", 1)
+    require_in(n_sig, "n_sig", 0.0)
     if n_sig < n / 2.0:
         raise ValueError(
             f"n_sig = {n_sig} cannot complete one N={n} state: need n_sig >= N/2"
@@ -150,7 +146,7 @@ def noon_threshold_efficiency(n: int) -> float:
     meaning no lossy two-photon advantage exists; warned because the returned
     "threshold" cannot be exceeded.
     """
-    _check_n(n, minimum=2)
+    require_int(n, "N", 2)
     if n == 2:
         warnings.warn(
             "N=2 threshold is eta=1: a two-photon state never beats shot noise "
@@ -210,9 +206,8 @@ def noon_flux_requirement(n: float, target_sql_n_sig: float,
     compares at equal total flux n photons/s, giving M = n/N^2 (the form
     behind order-of-magnitude source-rate estimates).
     """
-    _check_n(n)
-    if target_sql_n_sig <= 0:
-        raise ValueError("target photon rate must be > 0")
+    require_int(n, "N", 1)
+    require_in(target_sql_n_sig, "target rate", 0.0)
     if constraint is PowerConstraint.SAMPLE:
         return 4.0 * target_sql_n_sig / (n * n)
     if constraint is PowerConstraint.TOTAL:
@@ -228,12 +223,8 @@ def noon_precision_curve(eta: float, n_sig_grid) -> FigureDataset:
     reported as 0 at eta=1.
     """
     require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
-    grid = np.asarray(n_sig_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise ValueError("n_sig grid must be a nonempty 1-d array")
-    require_in(grid, "n_sig grid", 0.0)
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("n_sig grid must be strictly ascending")
+    grid = require_grid(n_sig_grid, "n_sig grid", 0.0)
+    require_in(np.diff(grid), "n_sig grid steps", 0.0)  # strictly ascending
     if eta < 1.0:
         n_opt, _, root = noon_optimal_n(eta)
         floor = loss_bound(grid, eta, PowerConstraint.SAMPLE).delta_phi

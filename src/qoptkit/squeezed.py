@@ -29,13 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Axis, FigureDataset
-from .limits import require_in, sql_sample
+from .domain import MAX_CELLS, check_size, require_grid, require_in
+from .limits import sql_sample
 from .noon import noon_best_precision, noon_optimal_n
-
-
-def _check_eta(eta):
-    return require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
-
 
 def _loss_noise(eta):
     # vacuum admixed by the channel, in variance units: (1-eta)/eta
@@ -51,7 +47,7 @@ def squeezed_precision(alpha: float, v_sqz: float, eta: float) -> float:
     """
     alpha = require_in(alpha, "alpha", 0.0)
     v_sqz = require_in(v_sqz, "v_sqz", 0.0)
-    eta = _check_eta(eta)
+    eta = require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
     return np.sqrt(v_sqz + _loss_noise(eta)) / (2.0 * alpha)
 
 
@@ -69,7 +65,7 @@ def squeezed_precision_budget(n_sig: float, v_sqz: float, eta: float) -> float:
     """
     n = require_in(n_sig, "n_sig", 0.0)
     v = require_in(v_sqz, "v_sqz", 0.0, 1.0, hi_closed=True)
-    eta = _check_eta(eta)
+    eta = require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
     amp2 = n - squeezing_photon_cost(v)
     if np.any(amp2 <= 0):
         raise ValueError(
@@ -99,7 +95,7 @@ def optimal_v_sqz(n_sig: float, eta: float) -> float:
     1/(2 n_sig + 1) as eta -> 1.
     """
     n_sig = require_in(n_sig, "n_sig", 0.0)
-    eta = _check_eta(eta)
+    eta = require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
     disc = np.sqrt(4.0 * eta * (1.0 - eta) * n_sig + 1.0)
     return (eta + disc) / (4.0 * eta * n_sig + eta + 1.0)
 
@@ -143,16 +139,13 @@ def noon_vs_squeezed_grid(eta_grid=None, n_sig_grid=None) -> FigureDataset:
     (eta, n_sig). Metadata records the ratio extremes over the grid and where
     they occur.
     """
-    eta_grid = default_eta_grid() if eta_grid is None else np.asarray(
-        eta_grid, dtype=float)
-    n_sig_grid = default_n_sig_grid() if n_sig_grid is None else np.asarray(
-        n_sig_grid, dtype=float)
-    if eta_grid.ndim != 1 or len(eta_grid) == 0:
-        raise ValueError("eta grid must be a nonempty 1-d array")
-    if n_sig_grid.ndim != 1 or len(n_sig_grid) == 0:
-        raise ValueError("n_sig grid must be a nonempty 1-d array")
-    require_in(eta_grid, "eta grid", 0.0, 1.0)
-    require_in(n_sig_grid, "n_sig grid", 0.0, 100.0, hi_closed=True)
+    eta_grid = require_grid(
+        default_eta_grid() if eta_grid is None else eta_grid,
+        "eta grid", 0.0, 1.0)
+    n_sig_grid = require_grid(
+        default_n_sig_grid() if n_sig_grid is None else n_sig_grid,
+        "n_sig grid", 0.0, 100.0, hi_closed=True)
+    check_size(len(eta_grid) * len(n_sig_grid), MAX_CELLS, "grid cells")
 
     eta, n_sig = eta_grid[:, None], n_sig_grid[None, :]
     n_opt, _, _ = noon_optimal_n(eta)

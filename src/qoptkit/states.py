@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .domain import check_size, require_in, require_int
 
 # Normalization slack tolerated on any stored pmf. Every truncated support
 # (the geometric prior's, and each heralding posterior's, sized from its own
@@ -28,10 +30,6 @@ import numpy as np
 # spare.
 NORM_TOL = 1e-9
 TAIL_MASS = 1e-16
-# Longest support check_support admits. A heralding posterior holds about a
-# dozen float arrays of that length, so this keeps one call near 200 MB;
-# longer supports are refused before anything is allocated.
-MAX_SUPPORT = 2**21
 
 
 @dataclass(frozen=True)
@@ -44,20 +42,17 @@ class PhotonDistribution:
     """
 
     pmf: np.ndarray
-    n_max: int = field(default=-1)
 
     def __post_init__(self):
-        p = np.asarray(self.pmf, dtype=float)
+        p = require_in(self.pmf, "pmf entries", 0.0, 1.0, True, True)
         object.__setattr__(self, "pmf", p)
-        if self.n_max < 0:
-            object.__setattr__(self, "n_max", len(p) - 1)
-        if len(p) != self.n_max + 1:
-            raise ValueError(f"pmf length {len(p)} does not match n_max={self.n_max}")
-        if np.any(~np.isfinite(p)) or np.any(p < 0) or np.any(p > 1):
-            raise ValueError("pmf entries must be finite probabilities in [0, 1]")
         s = float(p.sum())
         if abs(s - 1.0) > NORM_TOL:
             raise ValueError(f"pmf sums to {s!r}, outside 1 +- {NORM_TOL}")
+
+    @property
+    def n_max(self) -> int:
+        return len(self.pmf) - 1
 
     @property
     def support(self) -> np.ndarray:
@@ -71,9 +66,7 @@ class PhotonDistribution:
 
 def delta_distribution(n: int) -> PhotonDistribution:
     """Deterministic count: all mass at photon number n."""
-    if n < 0:
-        raise ValueError("photon number must be >= 0")
-    p = np.zeros(n + 1)
+    p = np.zeros(check_size(require_int(n, "photon number", 0) + 1))
     p[n] = 1.0
     return PhotonDistribution(p)
 
@@ -89,11 +82,8 @@ class PdcTwinBeam:
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(
-                "epsilon must satisfy 0 <= eps < 1: p(N) = (1-eps)*eps^N is "
-                "unnormalizable at eps >= 1"
-            )
+        # p(N) = (1-eps)*eps^N is unnormalizable at eps >= 1
+        require_in(self.epsilon, "epsilon", 0.0, 1.0, lo_closed=True)
 
     @property
     def mean_photons(self) -> float:
@@ -108,10 +98,8 @@ class NoonSpec:
     m: int = 1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("NOON photon number must be an integer >= 1")
-        if self.m < 1:
-            raise ValueError("repetition count must be an integer >= 1")
+        require_int(self.n, "NOON photon number", 1)
+        require_int(self.m, "repetition count", 1)
 
 
 @dataclass(frozen=True)
@@ -131,10 +119,9 @@ class GaussianProbe:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0 (real amplitude convention)")
-        if self.v_sqz <= 0 or self.v_anti <= 0:
-            raise ValueError("quadrature variances must be > 0")
+        require_in(self.alpha, "alpha", 0.0, lo_closed=True)  # real amplitude
+        require_in(self.v_sqz, "v_sqz", 0.0)
+        require_in(self.v_anti, "v_anti", 0.0)
         # Uncertainty product V(X)*V(Y) >= 1; small slack for pure states
         # constructed as (v, 1/v) in floating point.
         if self.v_sqz * self.v_anti < 1.0 - 1e-12:
@@ -221,11 +208,10 @@ def coherent_pmf(mean_n: float, n_max: int | None = None) -> PhotonDistribution:
     Default truncation n_max = max(32, ceil(mean + 12*sqrt(mean))) keeps the
     missing tail below 1e-12.
     """
-    if mean_n < 0:
-        raise ValueError("mean photon number must be >= 0")
+    require_in(mean_n, "mean photon number", 0.0, lo_closed=True)
     if n_max is None:
         n_max = max(32, math.ceil(mean_n + 12.0 * math.sqrt(mean_n)))
-    p = poisson_pmf(np.arange(n_max + 1), mean_n)
+    p = poisson_pmf(np.arange(check_size(n_max + 1)), mean_n)
     return PhotonDistribution(p)
 
 
@@ -234,7 +220,7 @@ def pdc_marginal_pmf(state: PdcTwinBeam, n_max: int | None = None) -> PhotonDist
     eps = state.epsilon
     if n_max is None:
         n_max = geometric_n_max(eps)
-    n = np.arange(check_support(n_max + 1))
+    n = np.arange(check_size(n_max + 1))
     return PhotonDistribution((1.0 - eps) * eps**n)
 
 
@@ -243,16 +229,6 @@ def geometric_n_max(epsilon: float) -> int:
     if epsilon == 0.0:
         return 0
     return math.ceil(math.log(TAIL_MASS) / math.log(epsilon))
-
-
-def check_support(length: int) -> int:
-    """Return length, or raise ValueError if it exceeds MAX_SUPPORT."""
-    if length > MAX_SUPPORT:
-        raise ValueError(
-            f"the pmf needs {length} support points to keep its tail "
-            f"under {TAIL_MASS}, over the limit of {MAX_SUPPORT}"
-        )
-    return length
 
 
 def distribution_moments(d: PhotonDistribution) -> tuple[float, float]:
@@ -270,8 +246,7 @@ def g2_self(d: PhotonDistribution) -> float:
     photon 0.
     """
     mean, var = distribution_moments(d)
-    if mean <= 0:
-        raise ValueError("g2 undefined for zero-mean distribution: divides by <n>")
+    require_in(mean, "mean photon number", 0.0)  # g2 divides by <n>
     return 1.0 + var / mean**2 - 1.0 / mean
 
 
@@ -282,8 +257,7 @@ class BunchingClass(enum.Enum):
 
 def classify_bunching(g2_zero: float) -> BunchingClass:
     """Classical fields obey g2(0) >= 1; anything below is antibunched."""
-    if g2_zero < 0:
-        raise ValueError("g2 is a ratio of nonnegative moments, must be >= 0")
+    require_in(g2_zero, "g2", 0.0, lo_closed=True)  # nonnegative moments
     if g2_zero < 1.0:
         return BunchingClass.NONCLASSICAL_ANTIBUNCHED
     return BunchingClass.CLASSICAL_ALLOWED
@@ -342,13 +316,8 @@ def etpa_cross_coherence(state: PdcTwinBeam) -> EtpaCoherence:
     evaluated from the marginals of the same truncated state.
     """
     eps = state.epsilon
-    if eps == 0.0:
-        raise ValueError("g2_12 = 1/eps diverges at eps = 0")
-    if eps > 0.1:
-        raise ValueError(
-            f"eps = {eps} > 0.1: the two-term truncation behind g2_12 = 1/eps "
-            "is not valid"
-        )
+    # g2_12 = 1/eps diverges at 0; the two-term truncation fails above 0.1
+    require_in(eps, "epsilon", 0.0, 0.1, hi_closed=True)
     g12 = 1.0 / eps
     marginal = PhotonDistribution(np.array([1.0 - eps, eps]))
     g11 = g2_self(marginal)

@@ -222,7 +222,7 @@ def test_criterion_07_conditioning_oracle(say):
     for eta in PANEL_ETAS:
         ch = LossChannel(eta)
         panels = {
-            "probe-nr": (condition_probe_number_resolving(state, n_det, ch),
+            "probe-nr": (condition_probe_number_resolving(n_det, ch),
                          oracles.probe_side_number_resolving(eps, n_det, eta)),
             "probe-bucket": (condition_probe_bucket(state, ch),
                              oracles.probe_side_bucket(eps, eta)),

@@ -201,6 +201,24 @@ def test_oversized_support_refused_before_allocating(capsys):
     assert peak < 10 * 2**20
 
 
+@pytest.mark.parametrize("argv", (
+    ["condition", "--n-det", "100000000"],
+    ["figure", "fig-conditional", "--n-det", "100000000"],
+))
+def test_n_det_support_refused_before_allocating(argv, capsys):
+    # the number-resolving probe pmf would hold n_det + 1 entries (763 MiB)
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "over the limit of 2097152" in err
+    assert peak < 10 * 2**20
+
+
 # Fit results that a Levenberg-Marquardt least-squares fit (scipy's
 # curve_fit, from the same start point) gives on these seeded samples.
 @pytest.mark.parametrize("extra, period, visibility, offset", [

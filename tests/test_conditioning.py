@@ -100,13 +100,13 @@ def test_thinning_preserves_g2(ws, eta):
 
 def test_probe_number_resolving_support_bound():
     # ideal count + perfect correlation caps the probe at n_det photons
-    d = condition_probe_number_resolving(PdcTwinBeam(0.5), 3, LossChannel(0.6))
+    d = condition_probe_number_resolving(3, LossChannel(0.6))
     assert d.n_max == 3  # P(N > N_det) = 0 by construction
     for k in range(4):
         assert d.pmf[k] == pytest.approx(
             math.comb(3, k) * 0.6**k * 0.4 ** (3 - k), rel=1e-12)
     with pytest.raises(ValueError):
-        condition_probe_number_resolving(PdcTwinBeam(0.5), -1, LossChannel(0.6))
+        condition_probe_number_resolving(-1, LossChannel(0.6))
 
 
 def test_probe_bucket_against_enumeration():

@@ -32,7 +32,7 @@ def test_photon_distribution_validation():
         PhotonDistribution(np.array([0.5, 0.6]))  # sums to 1.1
     with pytest.raises(ValueError):
         PhotonDistribution(np.array([-0.1, 1.1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # n_max is len(pmf) - 1, not an argument
         PhotonDistribution(np.array([0.5, 0.5]), n_max=3)
     with pytest.raises(ValueError):
         PhotonDistribution(np.array([np.nan, 1.0]))
