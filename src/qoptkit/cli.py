@@ -75,6 +75,17 @@ def _eta_grid_log_loss(args) -> np.ndarray:
                              check_size(points, MAX_CELLS, "grid cells"))
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, like every other refusal
+        self.exit(2, f"error: {message}\n")
+
+
+def photons(text: str) -> float:
+    if (x := float(text)) > MAX_PHOTONS:  # NaN, x <= 0: the command refuses
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_PHOTONS:g}, got {text}")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -83,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output file; omitted = stdout; relative paths "
                              f"resolve against ${OUT_DIR_ENV} when set")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qoptkit",
         description="Quantum-limited phase metrology: precision bounds, "
                     "photon statistics under loss, strategy optimization, "
@@ -98,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "1/sqrt(eta n0), 1/n0, sqrt((1-eta)/eta)/(2 sqrt(n_sig)) "
                     "and the squeezed-vacuum bound "
                     "(1/(2 sqrt(2))) (n^2+n)^(-1/2) at n0 = 2 n_sig.")
-    p.add_argument("--n-sig", type=float, required=True,
+    p.add_argument("--n-sig", type=photons, required=True,
                    help="photons through the sample arm")
     p.add_argument("--eta", type=float, default=0.9,
                    help="efficiency for the eta-dependent bounds")
@@ -120,14 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="trial rate matching a shot-noise-limited flux")
     p.add_argument("--n", type=int, help="photons per NOON state")
     p.add_argument("--eta", type=float, help="probe-arm efficiency")
-    p.add_argument("--n-sig", type=float, help="sample exposure")
+    p.add_argument("--n-sig", type=photons, help="sample exposure")
     p.add_argument("--target-rate", type=float,
                    help="photon rate to match (for --flux)")
     p.add_argument("--total-power", action="store_true",
                    help="budget --flux at equal total flux (n/N^2) instead "
                         "of equal sample exposure (4 n_sig/N^2)")
-    p.add_argument("--n-sig-min", type=float, default=1.0)
-    p.add_argument("--n-sig-max", type=float, default=1e4)
+    p.add_argument("--n-sig-min", type=photons, default=1.0)
+    p.add_argument("--n-sig-max", type=photons, default=1e4)
     p.add_argument("--n-sig-points", type=int, default=200)
 
     p = sub.add_parser(
@@ -137,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Fixed budget: sqrt((V + (1-eta)/eta)/(4 n_sig - V - 1/V "
                     "+ 2)); optimal V = (eta + sqrt(4 eta (1-eta) n_sig + 1))"
                     "/(4 eta n_sig + eta + 1).")
-    p.add_argument("--n-sig", type=float, help="sample exposure budget")
+    p.add_argument("--n-sig", type=photons, help="sample exposure budget")
     p.add_argument("--eta", type=float, required=True, help="efficiency")
     p.add_argument("--v-sqz", type=float,
                    help="squeezed quadrature variance (vacuum units)")
@@ -152,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-min", type=float, default=0.5)
     p.add_argument("--eta-max", type=float, default=0.999)
     p.add_argument("--eta-points", type=int, default=200)
-    p.add_argument("--n-sig-min", type=float, default=1.0)
-    p.add_argument("--n-sig-max", type=float, default=100.0)
+    p.add_argument("--n-sig-min", type=photons, default=1.0)
+    p.add_argument("--n-sig-max", type=photons, default=100.0)
     p.add_argument("--n-sig-points", type=int, default=200)
 
     p = sub.add_parser(

@@ -42,7 +42,8 @@ from .states import (
     pdc_marginal_pmf,
 )
 
-# apply_loss's Horner block: 32 and 64 tie below ~1500 entries, 64 wins above
+# apply_loss's Horner block (32 and 64 tie below ~1500 entries, 64 wins
+# above), and the longest product run from a posterior kernel anchor
 BLOCK = 64
 
 
@@ -164,22 +165,37 @@ def posterior_number_resolving(state: PdcTwinBeam, n_det: int,
             f"P(N_det = {n_det}) = 0 at eta = {eta}: observation impossible"
         )
     q = eps * (1.0 - eta)
-    # From m_env undetected photons on, the step ratio p(N+1)/p(N) =
-    # q (m + n_det + 1)/(m + 1) is at most rho, so p(n_det + m_env + j) <=
-    # rho^j; evaluate to where that envelope's tail is below TAIL_MASS.
+    # From m_env = q n_det/(rho - q) undetected photons on, the step ratio
+    # r(m) = p(m+1)/p(m) = q (m + n_det + 1)/(m + 1) is at most rho, so
+    # p(n_det + m_env + j) <= rho^j; the support ends before that envelope's
+    # tail is below TAIL_MASS.
     rho = 0.5 * (1.0 + q)
-    m_env = math.ceil(q * n_det / (rho - q))
-    m = np.arange(check_size(
-        m_env + math.ceil(math.log(TAIL_MASS * (1.0 - rho)) / math.log(rho))
-        + 1))
-    body = (1.0 - q) * binomial_pmf(n_det, n_det + m, 1.0 - q)
-    # the step ratio falls with m, so once it is below 1 the tail past m is
-    # at most p ratio/(1 - ratio)
-    ratio = q * (m + n_det + 1) / (m + 1)
-    m_max = int(np.argmax((ratio < 1.0)
-                          & (body * ratio < TAIL_MASS * (1.0 - ratio))))
-    return PhotonDistribution(np.concatenate([np.zeros(n_det),
-                                              body[: m_max + 1]]))
+    n_env = check_size(math.ceil(q * n_det / (rho - q)) + 1 + math.ceil(
+        math.log(TAIL_MASS * (1.0 - rho)) / math.log(rho)))
+
+    def tail_below(m, p):  # p r/(1 - r) < TAIL_MASS, true from the cut on
+        return q * (m + n_det + 1) / (m + 1) * (p + TAIL_MASS) < TAIL_MASS
+
+    # Kernel values at one anchor per block of BLOCK entries, the entry
+    # nearest the mode: the block's largest. Blocks run down from mode - 1
+    # and up from the mode to the first anchor past the cut; their other
+    # entries are products of exact step ratios away from the anchor.
+    mode = math.floor(q * n_det / (1.0 - q))
+    down = np.arange(mode - 1, -1, -BLOCK)
+    up = np.arange(mode, n_env + BLOCK - 1, BLOCK)
+    top = (1.0 - q) * binomial_pmf(n_det, n_det + np.append(down, up), 1.0 - q)
+    blocks = np.argmax(tail_below(up, top[len(down):]))
+    m_dn = np.maximum(down[:, None] - np.arange(BLOCK), 0)  # 0: padding
+    m_up = up[:blocks, None] + np.arange(BLOCK)
+    f = np.concatenate([(m_dn + 1) / (q * (m_dn + n_det + 1)),
+                        q * (m_up + n_det) / np.maximum(m_up, 1)])  # lane 0: anchor
+    f[:, 0] = top[:len(f)]
+    p = np.cumprod(f, axis=1)
+    pmf = np.concatenate([np.zeros(n_det), p[:len(down)].ravel()[mode - 1::-1],
+                          p[len(down):].ravel(), top[len(f):len(f) + 1]])
+    n0 = max(len(pmf) - BLOCK - 1, n_det)  # the cut lies in the last block
+    cut = np.argmax(tail_below(np.arange(n0, len(pmf)) - n_det, pmf[n0:]))
+    return PhotonDistribution(pmf[:n0 + cut + 1])
 
 
 def posterior_bucket(state: PdcTwinBeam,

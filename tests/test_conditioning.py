@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -132,7 +133,7 @@ def test_detector_counts_are_thinned_marginal():
 
 
 def test_posterior_number_resolving_against_enumeration():
-    for eta in (0.1, 0.4, 0.7):
+    for eta in (0.1, 0.4, 0.7, 1.0):
         for n_det in (0, 1, 3):
             got = posterior_number_resolving(PdcTwinBeam(0.5), n_det,
                                              LossChannel(eta))
@@ -198,14 +199,29 @@ def test_min_detectable_absorption_scalings():
 
 # -- the 1e-12 total-variation promise at the edges of the domain ------------
 
+def assert_entrywise(got, exact):
+    """Every entry whose exact value is in the normal float range (from
+    2.3e-308 up) nonzero and within 1e-12 relative of the 50-digit law, and
+    the TV promise kept. A block anchored at its smallest entry fails this
+    where that anchor is subnormal: 9.7e-12 at (0.99, 0.01, 300)."""
+    assert len(exact) >= len(got)
+    for g, e in zip(got, exact):
+        if e >= Decimal("2.3e-308"):
+            assert g > 0.0
+            assert abs(Decimal(float(g)) - e) <= Decimal("1e-12") * e
+    assert oracles.exact_tv(got, exact) <= 1e-12
+
+
 @pytest.mark.parametrize("eps, eta, n_det", [
     (0.95, 0.05, 60), (0.9, 0.01, 30), (0.99, 0.01, 300)])
 def test_posterior_number_resolving_heavy_tail(eps, eta, n_det):
     # the posterior's tail is far heavier than the prior's: a support cut at
     # the prior's 1e-16 point lost TV 0.11, 0.089 and 1.0 here
+    # (0.99, 0.01, 300) also underflows p(n_det) ~ 1e-512, so the blocks below
+    # the mode must keep every normal-range digit of the entries above it
     got = posterior_number_resolving(PdcTwinBeam(eps), n_det, LossChannel(eta))
-    exact = oracles.exact_posterior_number_resolving(eps, n_det, eta)
-    assert oracles.exact_tv(got.pmf, exact) <= 1e-12
+    assert_entrywise(got.pmf,
+                     oracles.exact_posterior_number_resolving(eps, n_det, eta))
 
 
 def test_posterior_bucket_heavy_tail():
@@ -287,3 +303,29 @@ def test_posteriors_refuse_oversized_support():
                                    LossChannel(0.001))
     with pytest.raises(ValueError, match="support points"):
         posterior_bucket(PdcTwinBeam(1.0 - 1e-7), LossChannel(0.5))
+
+
+# -- the blocked recurrence: anchors at block edges --------------------------
+
+@pytest.mark.parametrize("eps, length", [
+    (0.6134, 63), (0.6192, 64), (0.6249, 65), (0.8314, 128), (0.8333, 129)])
+def test_posterior_number_resolving_kept_length_at_block_edges(eps, length):
+    # at n_det = 0 the mode is N = 0, so the kept body is whole upper blocks
+    # and the anchor that ends the evaluation sits just past or at the cut
+    got = posterior_number_resolving(PdcTwinBeam(eps), 0, LossChannel(0.1))
+    assert len(got.pmf) == length
+    assert_entrywise(got.pmf,
+                     oracles.exact_posterior_number_resolving(eps, 0, 0.1))
+
+
+@pytest.mark.parametrize("n_det, mode", [
+    (49, 63), (50, 64), (51, 65), (100, 128), (101, 129)])
+def test_posterior_number_resolving_mode_at_block_edges(n_det, mode):
+    # q = 0.5625 puts the mode at floor(9 n_det/7) undetected photons (a tie
+    # with the entry below at n_det = 49), so the blocks below it end on,
+    # just before and just after a block edge
+    got = posterior_number_resolving(PdcTwinBeam(0.75), n_det,
+                                     LossChannel(0.25)).pmf
+    assert got[n_det + mode] == pytest.approx(got.max(), rel=1e-12)
+    assert_entrywise(got, oracles.exact_posterior_number_resolving(
+        0.75, n_det, 0.25))

@@ -136,6 +136,10 @@ EXTREMES = [
     (["noon", "--flux", "--n", "3", "--target-rate", "inf"], "target rate"),
     (["noon", "--n", "3", "--eta", "0.9", "--n-sig", "nan"], "n_sig"),
     (["noon", "--threshold", "--n", str(10**400)], "N must be an integer"),
+    # n_sig^2 overflows past 1.3e154; every photon-number flag stops at 1e18
+    (["limits", "--n-sig", "1e154"], "argument --n-sig: must be <= 1e+18"),
+    (["noon", "--curve", "--eta", "0.9", "--n-sig-max", "1e300"],
+     "argument --n-sig-max"),
 ]
 
 
@@ -152,6 +156,20 @@ def test_extreme_input_refused_before_allocating(argv, names):
     assert code == 2
     assert err.count("\n") == 1 and names in err
     assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["limits"], "the following arguments are required: --n-sig"),
+    (["condition", "--n-det", "x"], "argument --n-det: invalid int value"),
+    (["simulate"], "the following arguments are required: experiment"),
+    (["simulate", "mz", "--trials", "1.5"], "argument --trials"),
+    ([], "the following arguments are required: command"),
+])
+def test_argparse_refusal_is_one_line(argv, names):
+    # argparse's own failures, subcommands included, read like the others
+    code, out, err = run_captured(argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and names in err
 
 
 # -- property: any small argv exits 0 with a finite dataset, or 2 -------------
@@ -174,14 +192,13 @@ def counts(lo, hi):
                      st.sampled_from((-1, 0, 2**53 + 1, 10**30)))
 
 
-def flags(required=(), **spec):
-    """Strategy for an argv tail: each flag given or, unless argparse
-    requires it, left out."""
+def flags(**spec):
+    """Strategy for an argv tail: each flag given or left out, so argparse's
+    own refusals (a required flag missing) are drawn too."""
     # --flag=value: argparse would read a separate "-inf" as an option
     parts = [strategy.map(lambda v, f=flag: [f"--{f.replace('_', '-')}={v!r}"])
              for flag, strategy in spec.items()]
-    parts = [p if f in required else st.one_of(st.just([]), p)
-             for f, p in zip(spec, parts)]
+    parts = [st.one_of(st.just([]), p) for p in parts]
     return st.tuples(*parts).map(lambda ps: [x for p in ps for x in p])
 
 
@@ -192,7 +209,7 @@ EPSILON = st.one_of(st.sampled_from((math.nan, math.inf, -0.1, 0.0, 1.0)),
 TRIALS = counts(100, 2000)
 
 COMMANDS = st.one_of(
-    flags(("n_sig",), n_sig=values(0.0, 1e6), eta=ETA).map(
+    flags(n_sig=values(0.0, 1e6), eta=ETA).map(
         lambda t: ["limits"] + t),
     flags(n=counts(2, 300)).map(lambda t: ["noon", "--threshold"] + t),
     flags(eta=ETA).map(lambda t: ["noon", "--optimal"] + t),
@@ -202,7 +219,7 @@ COMMANDS = st.one_of(
         lambda t: ["noon", "--flux"] + t),
     flags(n=counts(1, 300), eta=ETA, n_sig=values(0.0, 1e6)).map(
         lambda t: ["noon"] + t),
-    flags(("eta",), n_sig=values(0.0, 1e6), eta=ETA, v_sqz=values(0.0, 2.0),
+    flags(n_sig=values(0.0, 1e6), eta=ETA, v_sqz=values(0.0, 2.0),
           alpha=values(0.0, 1e3)).map(lambda t: ["squeezed"] + t),
     flags(eta_min=values(0.0, 0.6), eta_max=values(0.6, 1.0),
           eta_points=counts(2, 12), n_sig_min=values(0.1, 10.0),

@@ -163,9 +163,9 @@ GOLDEN = {
     ("condition-probe-bucket", "json"):
         "dcc0fce38307d186983d537bc2f6afb7b89e33a42266da0dc1f632622b07c32e",
     ("condition-detector-nr", "csv"):
-        "f3274b7e094dc90b9ba44909872aeaa0271a92c3b8e240ebf2055181ea348f44",
+        "d7ad65bc6827618d2bd257fec4df04d4a12bb7913db2e515ae201821a19a2673",
     ("condition-detector-nr", "json"):
-        "118b5e553aba32dcbf1b4d9f71e8b2436a673664ac76fe3335b1d0df4eda6551",
+        "ab6aab5042f37502d5445a1d03de0c00bb867e5981eba049520e2c783d791120",
     ("condition-detector-bucket", "csv"):
         "c9bdafe3e6837c76817200d52839222ef65d1c6ecbf66f9490769865b0657d7e",
     ("condition-detector-bucket", "json"):
