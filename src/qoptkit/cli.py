@@ -7,8 +7,8 @@ rename in the destination directory). A relative --out path is resolved
 against $QOPTKIT_OUT_DIR when that is set. Without --out, the dataset goes
 to standard output; all diagnostics go to standard error.
 
-Exit status: 0 success, 2 flag/precondition validation failure, 1 runtime
-failure.
+Exit status: 0 success, 2 flag/precondition validation failure (a flag
+outside its domain is refused at parse time, by name), 1 runtime failure.
 """
 from __future__ import annotations
 
@@ -22,7 +22,11 @@ import numpy as np
 from . import figures, limits, montecarlo, noon, squeezed
 from .conditioning import DetectorKind
 from .dataset import FigureDataset, write_text_atomic
-from .domain import MAX_CELLS, MAX_PHOTONS, check_size, require_in, require_int
+from .domain import (ABSORPTION, ABSORPTION_N_SIG, COMPARE_N_SIG, EFFICIENCY,
+                     EPSILON, GRID_POINTS, HOM_TRIALS, HOMODYNE_EFFICIENCY,
+                     LOG_LOSS, MAX_PHOTONS, MZ_N0, MZ_PHASE, N_DET, NOON_N,
+                     PHASE, PHASE_POINTS, PHOTONS, POSITIVE, SEED, STD_TRIALS,
+                     TRANSMISSION, TRIALS, require_in, require_int)
 from .montecarlo import DEFAULT_SEED, SimConfig
 
 OUT_DIR_ENV = "QOPTKIT_OUT_DIR"
@@ -59,20 +63,15 @@ def _emit(dataset: FigureDataset, fmt: str, out: str | None) -> None:
 
 
 def _n_sig_grid(args) -> np.ndarray:
-    require_in(args.n_sig_min, "--n-sig-min", 0.0)
     require_in(args.n_sig_max, "--n-sig-max", args.n_sig_min)
-    points = require_int(args.n_sig_points, "--n-sig-points", 2)
     return np.logspace(math.log10(args.n_sig_min), math.log10(args.n_sig_max),
-                       check_size(points, MAX_CELLS, "grid cells"))
+                       args.n_sig_points)
 
 
 def _eta_grid_log_loss(args) -> np.ndarray:
-    require_in(args.eta_min, "--eta-min", 0.0, 1.0)
     require_in(args.eta_max, "--eta-max", args.eta_min, 1.0)
-    points = require_int(args.eta_points, "--eta-points", 2)
     return 1.0 - np.logspace(math.log10(1.0 - args.eta_min),
-                             math.log10(1.0 - args.eta_max),
-                             check_size(points, MAX_CELLS, "grid cells"))
+                             math.log10(1.0 - args.eta_max), args.eta_points)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,10 +79,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def photons(text: str) -> float:
-    if (x := float(text)) > MAX_PHOTONS:  # NaN, x <= 0: the command refuses
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_PHOTONS:g}, got {text}")
-    return x
+def flag(domain):
+    """argparse type: a number in domain (an int where its ends are ints),
+    refused in one line that argparse prefixes with the flag's name."""
+    kind = int if isinstance(domain[0], int) else float
+
+    def parse(text):
+        x = kind(text)
+        try:
+            (require_int if kind is int else require_in)(x, "", *domain)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
+        return x
+
+    parse.__name__ = kind.__name__  # no number: "invalid int value: 'x'"
+    parse.domain = domain
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,6 +104,18 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, metavar="PATH",
                         help="output file; omitted = stdout; relative paths "
                              f"resolve against ${OUT_DIR_ENV} when set")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=flag(SEED), default=DEFAULT_SEED)
+    # fig-conditional's flags; one left out takes fig_conditional's default
+    conditional = argparse.ArgumentParser(add_help=False)
+    conditional.add_argument("--side", choices=(figures.PROBE, figures.DETECTOR),
+                             help="where the loss acts")
+    conditional.add_argument("--detector",
+                             choices=tuple(k.value for k in DetectorKind))
+    conditional.add_argument("--epsilon", type=flag(EPSILON),
+                             help="twin-beam interaction strength")
+    conditional.add_argument("--n-det", type=flag(N_DET),
+                             help="number-resolving count conditioned on")
 
     parser = _Parser(
         prog="qoptkit",
@@ -109,9 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "1/sqrt(eta n0), 1/n0, sqrt((1-eta)/eta)/(2 sqrt(n_sig)) "
                     "and the squeezed-vacuum bound "
                     "(1/(2 sqrt(2))) (n^2+n)^(-1/2) at n0 = 2 n_sig.")
-    p.add_argument("--n-sig", type=photons, required=True,
-                   help="photons through the sample arm")
-    p.add_argument("--eta", type=float, default=0.9,
+    # n0 = 2 n_sig >= 1, the Heisenberg bound's domain
+    p.add_argument("--n-sig", type=flag((0.5, MAX_PHOTONS, True, True)),
+                   required=True, help="photons through the sample arm")
+    p.add_argument("--eta", type=flag(EFFICIENCY), default=0.9,
                    help="efficiency for the eta-dependent bounds")
 
     p = sub.add_parser(
@@ -129,17 +153,17 @@ def build_parser() -> argparse.ArgumentParser:
                       help="best precision vs n_sig at --eta")
     mode.add_argument("--flux", action="store_true",
                       help="trial rate matching a shot-noise-limited flux")
-    p.add_argument("--n", type=int, help="photons per NOON state")
-    p.add_argument("--eta", type=float, help="probe-arm efficiency")
-    p.add_argument("--n-sig", type=photons, help="sample exposure")
-    p.add_argument("--target-rate", type=float,
+    p.add_argument("--n", type=flag(NOON_N), help="photons per NOON state")
+    p.add_argument("--eta", type=flag(EFFICIENCY), help="probe-arm efficiency")
+    p.add_argument("--n-sig", type=flag(PHOTONS), help="sample exposure")
+    p.add_argument("--target-rate", type=flag(POSITIVE),
                    help="photon rate to match (for --flux)")
     p.add_argument("--total-power", action="store_true",
                    help="budget --flux at equal total flux (n/N^2) instead "
                         "of equal sample exposure (4 n_sig/N^2)")
-    p.add_argument("--n-sig-min", type=photons, default=1.0)
-    p.add_argument("--n-sig-max", type=photons, default=1e4)
-    p.add_argument("--n-sig-points", type=int, default=200)
+    p.add_argument("--n-sig-min", type=flag(PHOTONS), default=1.0)
+    p.add_argument("--n-sig-max", type=flag(PHOTONS), default=1e4)
+    p.add_argument("--n-sig-points", type=flag(GRID_POINTS), default=200)
 
     p = sub.add_parser(
         "squeezed", parents=[common],
@@ -148,11 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "Fixed budget: sqrt((V + (1-eta)/eta)/(4 n_sig - V - 1/V "
                     "+ 2)); optimal V = (eta + sqrt(4 eta (1-eta) n_sig + 1))"
                     "/(4 eta n_sig + eta + 1).")
-    p.add_argument("--n-sig", type=photons, help="sample exposure budget")
-    p.add_argument("--eta", type=float, required=True, help="efficiency")
-    p.add_argument("--v-sqz", type=float,
+    p.add_argument("--n-sig", type=flag(PHOTONS), help="sample exposure budget")
+    p.add_argument("--eta", type=flag(EFFICIENCY), required=True,
+                   help="efficiency")
+    p.add_argument("--v-sqz", type=flag(POSITIVE),
                    help="squeezed quadrature variance (vacuum units)")
-    p.add_argument("--alpha", type=float,
+    p.add_argument("--alpha", type=flag(POSITIVE),
                    help="coherent amplitude (bypasses the budget)")
 
     p = sub.add_parser(
@@ -160,105 +185,86 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimal NOON vs optimal squeezed precision ratio grid",
         description="Ratio of the two optimized precisions on an "
                     "(eta, n_sig) grid; ratio > 1 means squeezed wins.")
-    p.add_argument("--eta-min", type=float, default=0.5)
-    p.add_argument("--eta-max", type=float, default=0.999)
-    p.add_argument("--eta-points", type=int, default=200)
-    p.add_argument("--n-sig-min", type=photons, default=1.0)
-    p.add_argument("--n-sig-max", type=photons, default=100.0)
-    p.add_argument("--n-sig-points", type=int, default=200)
+    p.add_argument("--eta-min", type=flag(LOG_LOSS), default=0.5)
+    p.add_argument("--eta-max", type=flag(LOG_LOSS), default=0.999)
+    p.add_argument("--eta-points", type=flag(GRID_POINTS), default=200)
+    p.add_argument("--n-sig-min", type=flag(COMPARE_N_SIG), default=1.0)
+    p.add_argument("--n-sig-max", type=flag(COMPARE_N_SIG), default=100.0)
+    p.add_argument("--n-sig-points", type=flag(GRID_POINTS), default=200)
 
     p = sub.add_parser(
-        "condition", parents=[common],
+        "condition", parents=[common, conditional],
         help="heralded photon-number distributions under loss",
         description="Binomial thinning p'(N) = sum C(N',N) eta^N "
                     "(1-eta)^(N'-N) p(N') on the probe side; Bayes with the "
-                    "binomial detection likelihood on the detector side.")
-    p.add_argument("--side", choices=(figures.PROBE, figures.DETECTOR),
-                   default=figures.PROBE,
-                   help="where the loss acts (default probe)")
-    p.add_argument("--detector",
-                   choices=tuple(k.value for k in DetectorKind),
-                   default=DetectorKind.NUMBER_RESOLVING.value)
-    p.add_argument("--epsilon", type=float, default=0.5,
-                   help="twin-beam interaction strength (default 0.5)")
-    p.add_argument("--eta", type=float, action="append", default=None,
-                   help="efficiency; repeatable (default 1, 0.7, 0.4, 0.1)")
-    p.add_argument("--n-det", type=int, default=1,
-                   help="conditioned count for number-resolving detection")
+                    "binomial detection likelihood on the detector side. A "
+                    "flag left out takes figures.fig_conditional's default.")
+    p.add_argument("--eta", dest="eta_list", type=flag(TRANSMISSION),
+                   action="append", metavar="ETA", help="efficiency; repeatable")
+    p.set_defaults(name="fig-conditional")
 
-    p = sub.add_parser(
-        "simulate", parents=[],
-        help="seeded Monte-Carlo experiments")
+    p = sub.add_parser("simulate", help="seeded Monte-Carlo experiments")
     sim = p.add_subparsers(dest="experiment", required=True)
 
     s = sim.add_parser(
-        "mz", parents=[common],
+        "mz", parents=[common, seeded],
         help="coherent Mach-Zehnder phase estimation",
         description="n_A, n_B ~ Poisson(eta n0 (1 +- cos phi)/2); "
                     "phi_hat = pi/2 - (n_A - n_B)/(eta n0); std vs "
                     "1/sqrt(eta n0).")
-    s.add_argument("--n0", type=float, default=1e4)
-    s.add_argument("--eta", type=float, default=1.0)
-    s.add_argument("--phase", type=float, default=math.pi / 2.0)
-    s.add_argument("--trials", type=int, default=10_000)
-    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    s.add_argument("--n0", type=flag(MZ_N0), default=1e4)
+    s.add_argument("--eta", type=flag(EFFICIENCY), default=1.0)
+    s.add_argument("--phase", type=flag(MZ_PHASE), default=math.pi / 2.0)
+    s.add_argument("--trials", type=flag(STD_TRIALS), default=10_000)
 
     s = sim.add_parser(
-        "noon-fringe", parents=[common],
+        "noon-fringe", parents=[common, seeded],
         help="two-photon coincidence fringe",
         description="P(same detector) = (1 + cos 2 phi)/2 sampled per phase "
                     "point; fitted period pi.")
-    s.add_argument("--phase-points", type=int, default=33)
-    s.add_argument("--trials", type=int, default=1000,
+    s.add_argument("--phase-points", type=flag(PHASE_POINTS), default=33)
+    s.add_argument("--trials", type=flag(TRIALS), default=1000,
                    help="pairs per phase point")
-    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     s = sim.add_parser(
-        "hom", parents=[common],
+        "hom", parents=[common, seeded],
         help="two-photon interference at a balanced splitter",
         description="Indistinguishable pairs never split (cross rate 0); "
                     "distinguishable pairs split half the time.")
-    s.add_argument("--trials", type=int, default=10_000)
+    s.add_argument("--trials", type=flag(HOM_TRIALS), default=10_000)
     s.add_argument("--distinguishable", action="store_true")
-    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     s = sim.add_parser(
-        "homodyne", parents=[common],
+        "homodyne", parents=[common, seeded],
         help="squeezed-probe homodyne phase estimation",
         description="y ~ N(2 sqrt(eta) alpha phi, eta V + 1 - eta); "
                     "phi_hat = y/(2 alpha sqrt(eta)); std vs "
                     "(1/(2 alpha)) sqrt(V + (1-eta)/eta).")
-    s.add_argument("--alpha", type=float, default=10.0)
-    s.add_argument("--v-sqz", type=float, default=1.0)
-    s.add_argument("--eta", type=float, default=1.0)
-    s.add_argument("--phase", type=float, default=0.0)
-    s.add_argument("--trials", type=int, default=10_000)
-    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # alpha^2 is SimConfig's n_photons, which stops at MAX_PHOTONS
+    s.add_argument("--alpha", default=10.0,
+                   type=flag((0.0, math.sqrt(MAX_PHOTONS), False, True)))
+    s.add_argument("--v-sqz", type=flag(POSITIVE), default=1.0)
+    s.add_argument("--eta", type=flag(HOMODYNE_EFFICIENCY), default=1.0)
+    s.add_argument("--phase", type=flag(PHASE), default=0.0)
+    s.add_argument("--trials", type=flag(STD_TRIALS), default=10_000)
 
     s = sim.add_parser(
-        "absorption", parents=[common],
+        "absorption", parents=[common, seeded],
         help="absorption estimation, heralded vs coherent probe",
         description="Heralded: k ~ Binomial(n_sig, 1-a), var a(1-a)/n_sig; "
                     "coherent: Poisson source, var (1-a)/n_sig.")
-    s.add_argument("--alpha-true", type=float, default=0.1)
-    s.add_argument("--n-sig", type=int, default=10_000)
+    s.add_argument("--alpha-true", type=flag(ABSORPTION), default=0.1)
+    s.add_argument("--n-sig", type=flag(ABSORPTION_N_SIG), default=10_000)
     s.add_argument("--heralded", action="store_true")
-    s.add_argument("--trials", type=int, default=10_000)
-    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    s.add_argument("--trials", type=flag(STD_TRIALS), default=10_000)
 
     p = sub.add_parser(
-        "figure", parents=[common],
+        "figure", parents=[common, conditional],
         help="emit a complete figure dataset by name",
         description="Names: " + ", ".join(sorted(figures.FIGURES)) + ". "
                     "fig-conditional takes --side/--detector/--epsilon/"
                     "--n-det; the others use their documented default grids.")
     p.add_argument("name", choices=tuple(sorted(figures.FIGURES)))
-    p.add_argument("--side", choices=(figures.PROBE, figures.DETECTOR),
-                   default=None)
-    p.add_argument("--detector",
-                   choices=tuple(k.value for k in DetectorKind), default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--n-det", type=int, default=None)
 
     return parser
 
@@ -272,7 +278,6 @@ def _require(args, names: list[str], context: str) -> None:
 
 def _cmd_limits(args) -> FigureDataset:
     n_sig, eta = args.n_sig, args.eta
-    require_in(n_sig, "--n-sig", 0.0)
     n0 = 2.0 * n_sig
     values = {
         "sql_total": limits.sql_total(n0).delta_phi,
@@ -343,14 +348,6 @@ def _cmd_compare(args) -> FigureDataset:
                                           _n_sig_grid(args))
 
 
-def _cmd_condition(args) -> FigureDataset:
-    eta_list = (tuple(args.eta) if args.eta
-                else figures.DEFAULT_CONDITION_ETAS)
-    return figures.fig_conditional(
-        args.side, DetectorKind(args.detector), eta_list,
-        args.epsilon, args.n_det)
-
-
 def _cmd_simulate(args) -> FigureDataset:
     if args.experiment == "mz":
         cfg = SimConfig(seed=args.seed, trials=args.trials, phase=args.phase,
@@ -378,9 +375,6 @@ def _cmd_simulate(args) -> FigureDataset:
             {"alpha_true": args.alpha_true, "n_sig": args.n_sig,
              "heralded": args.heralded, "trials": args.trials,
              "seed": args.seed})
-    # checked before squaring, which would overflow past 1.3e154
-    require_in(args.alpha, "--alpha", 0.0, math.sqrt(MAX_PHOTONS),
-               hi_closed=True)
     cfg = SimConfig(seed=args.seed, trials=args.trials, phase=args.phase,
                     n_photons=args.alpha**2, eta=args.eta)
     report = montecarlo.simulate_homodyne_squeezed(cfg, args.v_sqz)
@@ -391,17 +385,10 @@ def _cmd_simulate(args) -> FigureDataset:
 
 
 def _cmd_figure(args) -> FigureDataset:
-    extras = {"side": args.side, "detector": args.detector,
-              "epsilon": args.epsilon, "n_det": args.n_det}
-    given = {k for k, v in extras.items() if v is not None}
+    given = {k: v for k in ("side", "detector", "eta_list", "epsilon", "n_det")
+             if (v := getattr(args, k, None)) is not None}
     if args.name == "fig-conditional":
-        return figures.fig_conditional(
-            side=args.side or figures.PROBE,
-            detector=DetectorKind(args.detector
-                                  or DetectorKind.NUMBER_RESOLVING.value),
-            epsilon=0.5 if args.epsilon is None else args.epsilon,
-            n_det=1 if args.n_det is None else args.n_det,
-        )
+        return figures.fig_conditional(**given)
     if given:
         flags = ", ".join("--" + k.replace("_", "-") for k in sorted(given))
         raise ValueError(f"{flags} only apply to fig-conditional")
@@ -413,7 +400,7 @@ _DISPATCH = {
     "noon": _cmd_noon,
     "squeezed": _cmd_squeezed,
     "compare": _cmd_compare,
-    "condition": _cmd_condition,
+    "condition": _cmd_figure,
     "simulate": _cmd_simulate,
     "figure": _cmd_figure,
 }

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import check_size, require_in, require_int
+from .domain import N_DET, TRANSMISSION, check_size, require_in, require_int
 from .states import (
     TAIL_MASS,
     PdcTwinBeam,
@@ -54,7 +54,7 @@ class LossChannel:
     eta: float
 
     def __post_init__(self):
-        require_in(self.eta, "eta", 0.0, 1.0, True, True)
+        require_in(self.eta, "eta", *TRANSMISSION)
 
 
 class DetectorKind(enum.Enum):
@@ -68,7 +68,7 @@ class DetectorModel:
     efficiency: float = 1.0
 
     def __post_init__(self):
-        require_in(self.efficiency, "efficiency", 0.0, 1.0, True, True)
+        require_in(self.efficiency, "efficiency", *TRANSMISSION)
 
 
 def apply_loss(d: PhotonDistribution, channel: LossChannel) -> PhotonDistribution:
@@ -108,7 +108,7 @@ def condition_probe_number_resolving(n_det: int,
     exactly n_det photons; thinning then gives Binomial(n_det, eta). The
     sample can never see more than n_det photons.
     """
-    k = np.arange(check_size(require_int(n_det, "n_det", 0) + 1))
+    k = np.arange(check_size(require_int(n_det, "n_det", *N_DET) + 1))
     return PhotonDistribution(binomial_pmf(k, n_det, probe_loss.eta))
 
 
@@ -152,7 +152,7 @@ def posterior_number_resolving(state: PdcTwinBeam, n_det: int,
 
     The support ends where the posterior's own tail drops below TAIL_MASS.
     """
-    require_int(n_det, "n_det", 0)
+    require_int(n_det, "n_det", *N_DET)
     eps, eta = state.epsilon, detector_loss.eta
     n_prior = geometric_n_max(eps)
     if n_det > n_prior:

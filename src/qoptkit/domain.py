@@ -1,8 +1,9 @@
 """The input domain: the one place that decides whether an input is acceptable.
 
 Every failure is a ValueError that names the input or the limit. The limits
-below are the input envelope: every support, grid and trial count passes
-check_size before anything of that length is allocated.
+below are the input envelope: every support, grid and trial count is checked
+against them before anything of that length is allocated. The named domains
+after them are read both by the CLI flags' types and by the library checks.
 """
 from __future__ import annotations
 
@@ -19,6 +20,32 @@ MAX_CELLS = 2**20
 MAX_TRIALS = 2**23
 # numpy's Poisson sampler refuses means above about 9.2e18
 MAX_PHOTONS = 1e18
+
+# (lo, hi, lo_closed, hi_closed) for require_in, or (lo, hi) of ints
+POSITIVE = (0.0, math.inf)
+PHOTONS = (0.0, MAX_PHOTONS, False, True)
+EFFICIENCY = (2.0**-1022, 1.0, True, True)  # normal, so (1-eta)/eta is finite
+# the homodyne sum of squares, ~trials/(4 alpha^2 eta), stays finite
+HOMODYNE_EFFICIENCY = (1e-300, 1.0, True, True)
+TRANSMISSION = (0.0, 1.0, True, True)
+LOG_LOSS = (2.0**-54, 1.0)  # from here up 1 - eta < 1 in floating point
+COMPARE_N_SIG = (0.0, 100.0, False, True)
+EPSILON = (0.0, 1.0, True, False)  # (1-eps)*eps^N is unnormalizable at 1
+ABSORPTION = (0.0, 1.0)
+PHASE = (-math.pi, math.pi, True, True)
+# the count-difference estimator linearizes the fringe around pi/2; past
+# 0.35 off it the fringe curvature biases it beyond the advertised std
+MZ_PHASE = (math.pi / 2.0 - 0.35, math.pi / 2.0 + 0.35, True, True)
+MZ_N0 = (100.0, MAX_PHOTONS, True, True)  # the counting regime
+SEED = (0, 2**64 - 1)
+N_DET = (0, 2**53)
+NOON_N = (1, 2**53)
+ABSORPTION_N_SIG = (1, int(MAX_PHOTONS))
+GRID_POINTS = (2, MAX_CELLS)
+PHASE_POINTS = (5, MAX_CELLS)  # at least 5 phase points resolve the fringe
+TRIALS = (1, MAX_TRIALS)
+STD_TRIALS = (100, MAX_TRIALS)  # a meaningful std estimate
+HOM_TRIALS = (1000, MAX_TRIALS)  # enough trials to resolve the rate
 
 
 def require_in(x, name: str, lo: float, hi: float = math.inf,

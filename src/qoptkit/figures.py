@@ -11,7 +11,7 @@ import numpy as np
 from . import conditioning as cond
 from .conditioning import DetectorKind, LossChannel
 from .dataset import Axis, FigureDataset
-from .domain import require_grid
+from .domain import EFFICIENCY, TRANSMISSION, require_grid
 from .limits import (
     PowerConstraint,
     heisenberg,
@@ -103,7 +103,7 @@ def fig_squeezed_loss(eta_grid=None,
     """
     if eta_grid is None:
         eta_grid = np.linspace(0.01, 1.0, 100)
-    grid = require_grid(eta_grid, "eta", 0.0, 1.0, hi_closed=True)
+    grid = require_grid(eta_grid, "eta", *EFFICIENCY)
     n_sig_list = tuple(n_sig_list)
     # one row of reports per n_sig, one column per eta
     r = optimal_squeezing(require_grid(n_sig_list, "n_sig", 0.0)[:, None],
@@ -145,19 +145,20 @@ def _panel_pmf(side: str, detector: DetectorKind, state: PdcTwinBeam,
     raise ValueError(f"side must be {PROBE!r} or {DETECTOR!r}, got {side!r}")
 
 
-def fig_conditional(side: str, detector: DetectorKind,
-                    eta_list=DEFAULT_CONDITION_ETAS,
-                    epsilon: float = 0.5, n_det: int = 1) -> FigureDataset:
+def fig_conditional(side: str = PROBE, detector=DetectorKind.NUMBER_RESOLVING,
+                    eta_list=DEFAULT_CONDITION_ETAS, epsilon: float = 0.5,
+                    n_det: int = 1) -> FigureDataset:
     """Heralded photon-number distributions, one pmf column per efficiency.
 
     side = "probe": the loss sits between the twin-beam source and the
     sample, after an ideal detection. side = "detector": the detection
     itself is lossy and the pmf is the Bayesian posterior for what reached
     the sample. Number-resolving panels condition on N_det = n_det; bucket
-    panels condition on a click.
+    panels condition on a click. detector is a DetectorKind or its value.
     """
+    detector = DetectorKind(detector)
     eta_list = tuple(eta_list)
-    require_grid(eta_list, "eta", 0.0, 1.0, True, True)
+    require_grid(eta_list, "eta", *TRANSMISSION)
     state = PdcTwinBeam(epsilon)
     pmfs = [
         _panel_pmf(side, detector, state, eta, n_det) for eta in eta_list

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import require_in
+from .domain import EFFICIENCY, require_in
 
 
 class PowerConstraint(enum.Enum):
@@ -82,7 +82,7 @@ def qnl(n0: float, eta: float) -> PrecisionResult:
     """Shot-noise limit after transmission eta: 1/sqrt(eta * n0)."""
     n0 = require_in(n0, "n0", 0.0)
     # lossless eta = 1 is a legitimate limit here, unlike for loss_bound
-    eta = require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
+    eta = require_in(eta, "eta", *EFFICIENCY)
     return PrecisionResult(1.0 / np.sqrt(eta * n0), BoundFamily.QNL,
                            PowerConstraint.TOTAL)
 

@@ -26,14 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Axis, FigureDataset
-from .domain import (
-    MAX_CELLS,
-    MAX_PHOTONS,
-    MAX_TRIALS,
-    check_size,
-    require_in,
-    require_int,
-)
+from .domain import (ABSORPTION, ABSORPTION_N_SIG, EFFICIENCY, HOM_TRIALS,
+                     HOMODYNE_EFFICIENCY, MZ_N0, MZ_PHASE, PHASE, PHASE_POINTS,
+                     PHOTONS, POSITIVE, SEED, STD_TRIALS, TRIALS, require_in,
+                     require_int)
 from .squeezed import squeezed_precision
 
 DEFAULT_SEED = 97531
@@ -54,13 +50,9 @@ _FIT_MAX_ITER = 500
 _FIT_HALVINGS = 10
 _FIT_XTOL = 1e-12
 
-# The count-difference estimator linearizes the fringe around pi/2; past
-# this offset the fringe curvature biases it beyond the advertised std.
-_MZ_PHASE_WINDOW = 0.35
-
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([require_int(seed, "seed", 0, 2**64 - 1), stream],
+    key = np.array([require_int(seed, "seed", *SEED), stream],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -80,11 +72,10 @@ class SimConfig:
     eta: float = 1.0
 
     def __post_init__(self):
-        check_size(require_int(self.trials, "trials", 1), MAX_TRIALS, "trials")
-        require_in(self.phase, "phase", -math.pi, math.pi, True, True)
-        require_in(self.n_photons, "n_photons", 0.0, MAX_PHOTONS,
-                   hi_closed=True)
-        require_in(self.eta, "eta", 0.0, 1.0, hi_closed=True)
+        require_int(self.trials, "trials", *TRIALS)
+        require_in(self.phase, "phase", *PHASE)
+        require_in(self.n_photons, "n_photons", *PHOTONS)
+        require_in(self.eta, "eta", *EFFICIENCY)
 
 
 @dataclass(frozen=True)
@@ -112,10 +103,9 @@ def simulate_coherent_mz(cfg: SimConfig) -> SimReport:
     near the half-fringe point; its std is 1/sqrt(eta*n0) at any operating
     phase (the two Poisson variances always sum to eta*n0).
     """
-    require_int(cfg.trials, "trials", 100)  # a meaningful std estimate
-    require_in(cfg.n_photons, "n0", 100.0, lo_closed=True)  # counting regime
-    require_in(cfg.phase, "operating phase", math.pi / 2.0 - _MZ_PHASE_WINDOW,
-               math.pi / 2.0 + _MZ_PHASE_WINDOW, True, True)
+    require_int(cfg.trials, "trials", *STD_TRIALS)
+    require_in(cfg.n_photons, "n0", *MZ_N0)
+    require_in(cfg.phase, "operating phase", *MZ_PHASE)
     n0, eta = cfg.n_photons, cfg.eta
     rng = _generator(cfg.seed, _STREAM_MZ)
     mean_a = eta * n0 * (1.0 + math.cos(cfg.phase)) / 2.0
@@ -135,10 +125,8 @@ def simulate_noon_fringe(n_phase_points: int, trials: int,
     doubled fringe shows up as period 2*pi/omega = pi and the fit results
     land in the metadata (fitted_period, fitted_visibility).
     """
-    # at least 5 phase points resolve the fringe
-    check_size(require_int(n_phase_points, "phase points", 5), MAX_CELLS,
-               "grid cells")
-    check_size(require_int(trials, "trials", 1), MAX_TRIALS, "trials")
+    require_int(n_phase_points, "phase points", *PHASE_POINTS)
+    require_int(trials, "trials", *TRIALS)
     rng = _generator(seed, _STREAM_FRINGE)
     phases = np.linspace(0.0, 2.0 * math.pi, n_phase_points)
     p_same = (1.0 + np.cos(2.0 * phases)) / 2.0
@@ -202,16 +190,12 @@ def simulate_hom(trials: int, distinguishable: bool,
     every trial, so the cross rate is exactly 0. Distinguishable photons
     route independently and coincide half the time.
     """
-    # enough trials to resolve the rate
-    check_size(require_int(trials, "trials", 1000), MAX_TRIALS, "trials")
+    require_int(trials, "trials", *HOM_TRIALS)
     rng = _generator(seed, _STREAM_HOM)
-    if distinguishable:
-        port_1 = rng.integers(0, 2, trials)
-        port_2 = rng.integers(0, 2, trials)
-        return float(np.mean(port_1 != port_2))
-    # one port draw per pair; both photons follow it, so no pair ever splits
-    rng.integers(0, 2, trials)
-    return 0.0
+    port_1 = rng.integers(0, 2, trials)
+    # an indistinguishable pair's second photon follows the first
+    port_2 = rng.integers(0, 2, trials) if distinguishable else port_1
+    return float(np.mean(port_1 != port_2))
 
 
 def simulate_homodyne_squeezed(cfg: SimConfig, v_sqz: float) -> SimReport:
@@ -222,8 +206,9 @@ def simulate_homodyne_squeezed(cfg: SimConfig, v_sqz: float) -> SimReport:
     inverts the mean: phi_hat = y/(2*alpha*sqrt(eta)). The analytic std is
     sqrt(v_sqz + (1-eta)/eta)/(2*alpha).
     """
-    require_in(v_sqz, "v_sqz", 0.0)
-    require_int(cfg.trials, "trials", 100)  # a meaningful std estimate
+    require_in(v_sqz, "v_sqz", *POSITIVE)
+    require_int(cfg.trials, "trials", *STD_TRIALS)
+    require_in(cfg.eta, "eta", *HOMODYNE_EFFICIENCY)
     alpha2 = cfg.n_photons
     if alpha2 < 100.0 * max(1.0, v_sqz):
         raise ValueError(
@@ -249,10 +234,9 @@ def simulate_heralded_absorption(alpha_true: float, n_sig: int, heralded: bool,
     inflating the variance to (1-alpha)/n_sig. Both use
     alpha_hat = 1 - k/n_sig.
     """
-    require_in(alpha_true, "absorption", 0.0, 1.0)
-    n_sig = int(require_int(n_sig, "n_sig", 1, MAX_PHOTONS))
-    # enough trials for a meaningful std estimate
-    check_size(require_int(trials, "trials", 100), MAX_TRIALS, "trials")
+    require_in(alpha_true, "absorption", *ABSORPTION)
+    n_sig = int(require_int(n_sig, "n_sig", *ABSORPTION_N_SIG))
+    require_int(trials, "trials", *STD_TRIALS)
     rng = _generator(seed, _STREAM_ABSORPTION)
     if heralded:
         k = rng.binomial(n_sig, 1.0 - alpha_true, trials)

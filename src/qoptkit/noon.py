@@ -39,12 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Axis, FigureDataset
-from .domain import require_grid, require_in, require_int
+from .domain import (EFFICIENCY, NOON_N, POSITIVE, require_grid, require_in,
+                     require_int)
 from .limits import PowerConstraint, loss_bound, sql_sample
 
-# Integer search never ranges past this; above it eta^-N either underflows
-# the enhancement to 0 or the optimum is far beyond any plotted regime.
-N_SEARCH_MAX = 200
+N_SEARCH_MAX = 200  # caps n_opt; binds for eta > e^(x*/200), about 0.99363
 # x* = -(1 + W(1/e)), the root of x + e^x + 1 = 0
 STATIONARY_X = -1.278464542761074
 
@@ -90,8 +89,8 @@ def _exp_or_inf(x, xp):
 
 def noon_single_shot(n: float, eta: float) -> float:
     """One-state precision sqrt((eta^-N + 1)/2)/N; equals 1/N at eta=1."""
-    require_int(n, "N", 1)
-    require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
+    require_int(n, "N", *NOON_N)
+    require_in(eta, "eta", *EFFICIENCY)
     log1p = _log1p_eta_negn(n, eta, math)
     return _exp_or_inf(0.5 * (log1p - math.log(2.0)), math) / n
 
@@ -103,7 +102,7 @@ def noon_enhancement(n, eta):
     limit scale as 1/sqrt(n_sig). E > 1 is beyond-classical operation.
     """
     n = require_in(n, "N", 1.0, lo_closed=True)
-    eta = require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
+    eta = require_in(eta, "eta", *EFFICIENCY)
     xp = _backend(n, eta)
     return xp.exp(0.5 * (xp.log(n) - _log1p_eta_negn(n, eta, xp)))
 
@@ -122,7 +121,7 @@ def noon_repeated(n: float, eta: float, n_sig: float) -> NoonLossReport:
     Requires n_sig >= N/2 so at least one full state fits the exposure. M is
     left real-valued; the report flags when it is not a whole number.
     """
-    require_int(n, "N", 1)
+    require_int(n, "N", *NOON_N)
     require_in(n_sig, "n_sig", 0.0)
     if n_sig < n / 2.0:
         raise ValueError(
@@ -190,7 +189,7 @@ def noon_best_precision(eta, n_sig, n_opt):
     identically at the kink; n_opt = inf (lossless) keeps the single state
     everywhere. Broadcasts over its arguments; returns (delta_phi, n_state).
     """
-    eta = require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
+    eta = require_in(eta, "eta", *EFFICIENCY)
     n_sig = require_in(n_sig, "n_sig", 0.0)
     n_state = np.where(n_sig <= n_opt / 2.0, 2.0 * n_sig, n_opt)
     return _delta_phi_m(n_state, eta, n_sig), n_state
@@ -206,8 +205,8 @@ def noon_flux_requirement(n: float, target_sql_n_sig: float,
     compares at equal total flux n photons/s, giving M = n/N^2 (the form
     behind order-of-magnitude source-rate estimates).
     """
-    require_int(n, "N", 1)
-    require_in(target_sql_n_sig, "target rate", 0.0)
+    require_int(n, "N", *NOON_N)
+    require_in(target_sql_n_sig, "target rate", *POSITIVE)
     if constraint is PowerConstraint.SAMPLE:
         return 4.0 * target_sql_n_sig / (n * n)
     if constraint is PowerConstraint.TOTAL:
@@ -222,7 +221,7 @@ def noon_precision_curve(eta: float, n_sig_grid) -> FigureDataset:
     and the sql_sample and loss_bound references. The loss reference is
     reported as 0 at eta=1.
     """
-    require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
+    require_in(eta, "eta", *EFFICIENCY)
     grid = require_grid(n_sig_grid, "n_sig grid", 0.0)
     require_in(np.diff(grid), "n_sig grid steps", 0.0)  # strictly ascending
     if eta < 1.0:

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Axis, FigureDataset
-from .domain import MAX_CELLS, check_size, require_grid, require_in
+from .domain import (COMPARE_N_SIG, EFFICIENCY, MAX_CELLS, POSITIVE,
+                     check_size, require_grid, require_in)
 from .limits import sql_sample
 from .noon import noon_best_precision, noon_optimal_n
 
@@ -45,9 +46,9 @@ def squeezed_precision(alpha: float, v_sqz: float, eta: float) -> float:
     probe (v_sqz = 1) without loss. Any v_sqz < 1 beats the quantum noise
     limit of the same lossy apparatus.
     """
-    alpha = require_in(alpha, "alpha", 0.0)
-    v_sqz = require_in(v_sqz, "v_sqz", 0.0)
-    eta = require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
+    alpha = require_in(alpha, "alpha", *POSITIVE)
+    v_sqz = require_in(v_sqz, "v_sqz", *POSITIVE)
+    eta = require_in(eta, "eta", *EFFICIENCY)
     return np.sqrt(v_sqz + _loss_noise(eta)) / (2.0 * alpha)
 
 
@@ -65,7 +66,7 @@ def squeezed_precision_budget(n_sig: float, v_sqz: float, eta: float) -> float:
     """
     n = require_in(n_sig, "n_sig", 0.0)
     v = require_in(v_sqz, "v_sqz", 0.0, 1.0, hi_closed=True)
-    eta = require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
+    eta = require_in(eta, "eta", *EFFICIENCY)
     amp2 = n - squeezing_photon_cost(v)
     if np.any(amp2 <= 0):
         raise ValueError(
@@ -95,7 +96,7 @@ def optimal_v_sqz(n_sig: float, eta: float) -> float:
     1/(2 n_sig + 1) as eta -> 1.
     """
     n_sig = require_in(n_sig, "n_sig", 0.0)
-    eta = require_in(eta, "eta", 0.0, 1.0, hi_closed=True)
+    eta = require_in(eta, "eta", *EFFICIENCY)
     disc = np.sqrt(4.0 * eta * (1.0 - eta) * n_sig + 1.0)
     return (eta + disc) / (4.0 * eta * n_sig + eta + 1.0)
 
@@ -144,7 +145,7 @@ def noon_vs_squeezed_grid(eta_grid=None, n_sig_grid=None) -> FigureDataset:
         "eta grid", 0.0, 1.0)
     n_sig_grid = require_grid(
         default_n_sig_grid() if n_sig_grid is None else n_sig_grid,
-        "n_sig grid", 0.0, 100.0, hi_closed=True)
+        "n_sig grid", *COMPARE_N_SIG)
     check_size(len(eta_grid) * len(n_sig_grid), MAX_CELLS, "grid cells")
 
     eta, n_sig = eta_grid[:, None], n_sig_grid[None, :]

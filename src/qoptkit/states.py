@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import check_size, require_in, require_int
+from .domain import EPSILON, NOON_N, check_size, require_in, require_int
 
 # Normalization slack tolerated on any stored pmf. Every truncated support
 # (the geometric prior's, and each heralding posterior's, sized from its own
@@ -82,8 +82,7 @@ class PdcTwinBeam:
     epsilon: float
 
     def __post_init__(self):
-        # p(N) = (1-eps)*eps^N is unnormalizable at eps >= 1
-        require_in(self.epsilon, "epsilon", 0.0, 1.0, lo_closed=True)
+        require_in(self.epsilon, "epsilon", *EPSILON)
 
     @property
     def mean_photons(self) -> float:
@@ -98,7 +97,7 @@ class NoonSpec:
     m: int = 1
 
     def __post_init__(self):
-        require_int(self.n, "NOON photon number", 1)
+        require_int(self.n, "NOON photon number", *NOON_N)
         require_int(self.m, "repetition count", 1)
 
 

@@ -5,6 +5,7 @@ any large allocation. Exit 1 (an uncaught runtime failure) is always a bug.
 Everything here runs cli.run in process at small sizes; the extreme inputs
 are checked by their up-front rejection, never by allocating them.
 """
+import argparse
 import contextlib
 import io
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qoptkit import parse_csv
-from qoptkit.cli import run
+from qoptkit.cli import build_parser, run
 from qoptkit.domain import (
     MAX_CELLS,
     MAX_SUPPORT,
@@ -107,39 +108,56 @@ def test_check_size_names_the_limit():
 
 # -- extreme inputs: refused up front, by name ---------------------------------
 
-# (argv, text the one-line diagnostic must carry); each of these used to
-# exit 1, or to exit 2 with a message that named no input. The n_det supports
-# are in tests/test_cli.py.
+# (argv, text the one-line diagnostic must carry). A flag outside its domain
+# is refused at parse time by name, and a size flag's refusal also names its
+# limit; a size that no single flag decides is refused by the library, naming
+# the limit. The n_det supports are in tests/test_cli.py.
 EXTREMES = [
     (["compare", "--eta-points", "100000", "--n-sig-points", "100000"],
      f"limit of {MAX_CELLS}"),
     (["noon", "--curve", "--eta", "0.9", "--n-sig-points", "1000000000"],
-     f"limit of {MAX_CELLS}"),
+     f"argument --n-sig-points: must be an integer in [2, {MAX_CELLS}]"),
     (["simulate", "noon-fringe", "--phase-points", "1000000000"],
-     f"limit of {MAX_CELLS}"),
+     f"argument --phase-points: must be an integer in [5, {MAX_CELLS}]"),
     (["simulate", "noon-fringe", "--trials", "10000000000"],
-     f"limit of {MAX_TRIALS}"),
-    (["simulate", "mz", "--trials", "10000000000"], f"limit of {MAX_TRIALS}"),
-    (["simulate", "hom", "--trials", "10000000000"], f"limit of {MAX_TRIALS}"),
+     f"argument --trials: must be an integer in [1, {MAX_TRIALS}]"),
+    (["simulate", "mz", "--trials", "10000000000"],
+     f"argument --trials: must be an integer in [100, {MAX_TRIALS}]"),
+    (["simulate", "hom", "--trials", "10000000000"],
+     f"argument --trials: must be an integer in [1000, {MAX_TRIALS}]"),
     (["simulate", "absorption", "--trials", "10000000000"],
-     f"limit of {MAX_TRIALS}"),
+     f"argument --trials: must be an integer in [100, {MAX_TRIALS}]"),
     (["simulate", "homodyne", "--trials", "10000000000"],
-     f"limit of {MAX_TRIALS}"),
-    (["simulate", "homodyne", "--alpha", "1e200"], "--alpha"),
-    (["simulate", "mz", "--n0", "1e300"], "n_photons"),
-    (["simulate", "mz", "--n0", "inf"], "n_photons"),
-    (["simulate", "mz", "--phase", "nan"], "phase"),
-    (["simulate", "homodyne", "--phase", "nan"], "phase"),
+     f"argument --trials: must be an integer in [100, {MAX_TRIALS}]"),
+    (["simulate", "homodyne", "--alpha", "1e200"], "argument --alpha"),
+    (["simulate", "mz", "--n0", "1e300"], "argument --n0"),
+    (["simulate", "mz", "--n0", "inf"], "argument --n0"),
+    (["simulate", "mz", "--phase", "nan"], "argument --phase"),
+    (["simulate", "homodyne", "--phase", "nan"], "argument --phase"),
     (["simulate", "absorption", "--n-sig", "10000000000000000000000"],
-     "n_sig"),
-    (["simulate", "mz", "--seed", str(2**64)], "seed"),
-    (["noon", "--flux", "--n", "3", "--target-rate", "inf"], "target rate"),
-    (["noon", "--n", "3", "--eta", "0.9", "--n-sig", "nan"], "n_sig"),
-    (["noon", "--threshold", "--n", str(10**400)], "N must be an integer"),
+     "argument --n-sig"),
+    (["simulate", "mz", "--seed", str(2**64)],
+     f"argument --seed: must be an integer in [0, {2**64 - 1}]"),
+    (["noon", "--flux", "--n", "3", "--target-rate", "inf"],
+     "argument --target-rate"),
+    (["noon", "--n", "3", "--eta", "0.9", "--n-sig", "nan"],
+     "argument --n-sig"),
+    (["noon", "--threshold", "--n", str(10**400)],
+     "argument --n: must be an integer"),
     # n_sig^2 overflows past 1.3e154; every photon-number flag stops at 1e18
-    (["limits", "--n-sig", "1e154"], "argument --n-sig: must be <= 1e+18"),
+    (["limits", "--n-sig", "1e154"], "argument --n-sig: must be finite and "
+                                     "lie in [0.5, 1e+18]"),
     (["noon", "--curve", "--eta", "0.9", "--n-sig-max", "1e300"],
-     "argument --n-sig-max"),
+     "argument --n-sig-max: must be finite and lie in (0, 1e+18]"),
+    # (1 - eta)/eta overflows below the least normal float
+    (["squeezed", "--eta", "1e-320", "--n-sig", "10"], "argument --eta"),
+    (["noon", "--curve", "--eta", "1e-320"], "argument --eta"),
+    # 1 - 1e-300 rounds to 1, so the log-loss grid would start at eta = 0
+    (["compare", "--eta-min", "1e-300", "--eta-max", "0.5"],
+     "argument --eta-min"),
+    # n0 = 2 n_sig would fall below the Heisenberg bound's n0 >= 1
+    (["limits", "--n-sig", "1e-300"], "argument --n-sig"),
+    (["compare", "--n-sig-max", "200"], "argument --n-sig-max"),
 ]
 
 
@@ -172,18 +190,85 @@ def test_argparse_refusal_is_one_line(argv, names):
     assert err.count("\n") == 1 and err.startswith("error: ") and names in err
 
 
+# -- every numeric flag is a typed domain --------------------------------------
+
+def numeric_flags(parser, path=()):
+    """(subcommand path, option, type) of each flag that takes a number."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from numeric_flags(sub, path + (name,))
+        elif action.option_strings and action.type is not None:
+            yield path, action.option_strings[0], action.type
+
+
+NUMERIC_FLAGS = list(numeric_flags(build_parser()))
+
+
+def parse_error(argv):
+    """What argparse prints to stderr for argv; empty when it parses."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pass
+    return err.getvalue()
+
+
+def test_every_numeric_flag_is_counted():
+    assert len(NUMERIC_FLAGS) == 44
+
+
+@pytest.mark.parametrize("path, option, kind", NUMERIC_FLAGS,
+                         ids=[" ".join(p + (o,)) for p, o, _ in NUMERIC_FLAGS])
+def test_numeric_flag_refuses_by_name_outside_its_domain(path, option, kind):
+    assert kind not in (float, int), f"{option} has a bare {kind.__name__}"
+    integer = kind.__name__ == "int"
+    # an integer range is closed; a float interval is open where not closed
+    lo, hi, lo_closed, hi_closed = (*kind.domain, integer, integer)[:4]
+
+    def accepted(value):
+        return f"argument {option}:" not in parse_error(
+            [*path, f"{option}={value!r}"])
+
+    def refused(value):
+        err = parse_error([*path, f"{option}={value!r}"])
+        return (err.count("\n") == 1
+                and err.startswith(f"error: argument {option}: "))
+
+    for end, out, closed in ((lo, -1, lo_closed), (hi, 1, hi_closed)):
+        if math.isinf(end):
+            continue
+        if closed:
+            past = end + out if integer else math.nextafter(end, out * math.inf)
+            assert accepted(end) and refused(past)
+        else:  # the end itself is out, the next float in is in
+            assert refused(end)
+            assert accepted(math.nextafter(end, -out * math.inf))
+    for bad in ("nan", "inf", "-inf"):
+        err = parse_error([*path, f"{option}={bad}"])
+        assert err.count("\n") == 1 and f"argument {option}: " in err
+
+
 # -- property: any small argv exits 0 with a finite dataset, or 2 -------------
 
 SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-320, 1e-300, 1.0,
            1e18, 1e154, 1e300, 1.7e308)
+# each finite end of a flag's domain, and the floats on either side of it
+EDGES = tuple(x for end in sorted({e for _, _, kind in NUMERIC_FLAGS
+                                   for e in kind.domain[:2]
+                                   if isinstance(e, float) and math.isfinite(e)})
+              for x in (end, math.nextafter(end, -math.inf),
+                        math.nextafter(end, math.inf)))
 
 
 def values(lo, hi):
-    """Mostly a float in the command's working range; one draw in five is an
-    edge of the float line."""
+    """Mostly a float in the command's working range; one draw in six is an
+    edge of the float line, and one an edge of some flag's domain."""
     regular = st.floats(min_value=lo, max_value=hi)
     return st.one_of(regular, regular, regular, regular,
-                     st.sampled_from(SPECIAL))
+                     st.sampled_from(SPECIAL), st.sampled_from(EDGES))
 
 
 def counts(lo, hi):
