@@ -7,7 +7,6 @@ inference, and seeded Monte-Carlo experiments that check the closed forms.
 """
 from .conditioning import (
     DetectorKind,
-    DetectorModel,
     LossChannel,
     apply_loss,
     condition_probe_bucket,
@@ -26,9 +25,7 @@ from .figures import (
     fig_squeezed_loss,
 )
 from .limits import (
-    BoundFamily,
     PowerConstraint,
-    PrecisionResult,
     diffraction_limit,
     dipole_scattering_fraction,
     heisenberg,
@@ -79,7 +76,6 @@ from .states import (
     BunchingClass,
     EtpaCoherence,
     GaussianProbe,
-    NoonSpec,
     PdcTwinBeam,
     PhotonDistribution,
     bright_squeezed_g2,

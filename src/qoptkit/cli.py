@@ -22,11 +22,13 @@ import numpy as np
 from . import figures, limits, montecarlo, noon, squeezed
 from .conditioning import DetectorKind
 from .dataset import FigureDataset, write_text_atomic
-from .domain import (ABSORPTION, ABSORPTION_N_SIG, COMPARE_N_SIG, EFFICIENCY,
-                     EPSILON, GRID_POINTS, HOM_TRIALS, HOMODYNE_EFFICIENCY,
-                     LOG_LOSS, MAX_PHOTONS, MZ_N0, MZ_PHASE, N_DET, NOON_N,
-                     PHASE, PHASE_POINTS, PHOTONS, POSITIVE, SEED, STD_TRIALS,
-                     TRANSMISSION, TRIALS, require_in, require_int)
+from .domain import (ABSORPTION, ABSORPTION_N_SIG, AMPLITUDE, COMPARE_N_SIG,
+                     EFFICIENCY, EPSILON, GRID_POINTS, HOM_TRIALS,
+                     HOMODYNE_EFFICIENCY, LOG_LOSS, MAX_PHOTONS, MZ_N0,
+                     MZ_PHASE, N_DET, NOON_N, NOON_N_SIG_MIN, PHASE,
+                     PHASE_POINTS, PHOTONS, POSITIVE, SEED, STD_TRIALS,
+                     TARGET_RATE, TRANSMISSION, TRIALS, require_in,
+                     require_int)
 from .montecarlo import DEFAULT_SEED, SimConfig
 
 OUT_DIR_ENV = "QOPTKIT_OUT_DIR"
@@ -156,12 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=flag(NOON_N), help="photons per NOON state")
     p.add_argument("--eta", type=flag(EFFICIENCY), help="probe-arm efficiency")
     p.add_argument("--n-sig", type=flag(PHOTONS), help="sample exposure")
-    p.add_argument("--target-rate", type=flag(POSITIVE),
+    p.add_argument("--target-rate", type=flag(TARGET_RATE),
                    help="photon rate to match (for --flux)")
     p.add_argument("--total-power", action="store_true",
                    help="budget --flux at equal total flux (n/N^2) instead "
                         "of equal sample exposure (4 n_sig/N^2)")
-    p.add_argument("--n-sig-min", type=flag(PHOTONS), default=1.0)
+    p.add_argument("--n-sig-min", type=flag(NOON_N_SIG_MIN), default=1.0)
     p.add_argument("--n-sig-max", type=flag(PHOTONS), default=1e4)
     p.add_argument("--n-sig-points", type=flag(GRID_POINTS), default=200)
 
@@ -177,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="efficiency")
     p.add_argument("--v-sqz", type=flag(POSITIVE),
                    help="squeezed quadrature variance (vacuum units)")
-    p.add_argument("--alpha", type=flag(POSITIVE),
+    p.add_argument("--alpha", type=flag(AMPLITUDE),
                    help="coherent amplitude (bypasses the budget)")
 
     p = sub.add_parser(
@@ -280,14 +282,13 @@ def _cmd_limits(args) -> FigureDataset:
     n_sig, eta = args.n_sig, args.eta
     n0 = 2.0 * n_sig
     values = {
-        "sql_total": limits.sql_total(n0).delta_phi,
-        "sql_sample": limits.sql_sample(n_sig).delta_phi,
-        "qnl": limits.qnl(n0, eta).delta_phi,
-        "heisenberg": limits.heisenberg(n0).delta_phi,
-        "loss_bound_sample": (
-            0.0 if eta == 1.0 else
-            limits.loss_bound(n_sig, eta, limits.PowerConstraint.SAMPLE).delta_phi),
-        "squeezed_vacuum_crb": limits.squeezed_vacuum_crb(n_sig).delta_phi,
+        "sql_total": limits.sql_total(n0),
+        "sql_sample": limits.sql_sample(n_sig),
+        "qnl": limits.qnl(n0, eta),
+        "heisenberg": limits.heisenberg(n0),
+        "loss_bound_sample": limits.loss_bound(n_sig, eta,
+                                               limits.PowerConstraint.SAMPLE),
+        "squeezed_vacuum_crb": limits.squeezed_vacuum_crb(n_sig),
     }
     return _scalar_dataset("precision-limits-point", values,
                            {"n_sig": n_sig, "n0": n0, "eta": eta})

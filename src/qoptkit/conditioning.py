@@ -62,15 +62,6 @@ class DetectorKind(enum.Enum):
     BUCKET = "bucket"
 
 
-@dataclass(frozen=True)
-class DetectorModel:
-    kind: DetectorKind
-    efficiency: float = 1.0
-
-    def __post_init__(self):
-        require_in(self.efficiency, "efficiency", *TRANSMISSION)
-
-
 def apply_loss(d: PhotonDistribution, channel: LossChannel) -> PhotonDistribution:
     """Binomial thinning of a count distribution; support length unchanged.
 

@@ -24,7 +24,12 @@ MAX_PHOTONS = 1e18
 # (lo, hi, lo_closed, hi_closed) for require_in, or (lo, hi) of ints
 POSITIVE = (0.0, math.inf)
 PHOTONS = (0.0, MAX_PHOTONS, False, True)
+# normal, so the NOON curve's dphi ~ 1/(2 n_sig) at its first point is finite
+NOON_N_SIG_MIN = (2.0**-1022, MAX_PHOTONS, True, True)
 EFFICIENCY = (2.0**-1022, 1.0, True, True)  # normal, so (1-eta)/eta is finite
+# normal, so the homodyne dphi ~ 1/(2 alpha) is finite
+AMPLITUDE = (2.0**-1022, math.inf, True, False)
+TARGET_RATE = (0.0, 2.0**1022)  # 4 rate/N^2 stays below the largest float
 # the homodyne sum of squares, ~trials/(4 alpha^2 eta), stays finite
 HOMODYNE_EFFICIENCY = (1e-300, 1.0, True, True)
 TRANSMISSION = (0.0, 1.0, True, True)

@@ -48,13 +48,13 @@ def fig_limits(n_sig_grid=None, eta_list=(0.5, 0.9, 0.99)) -> FigureDataset:
     eta_list = tuple(eta_list)
     require_grid(eta_list, "eta", 0.0, 1.0)
     cols: dict[str, np.ndarray] = {
-        "sql_sample": sql_sample(grid).delta_phi,
-        "heisenberg_n0": heisenberg(2.0 * grid).delta_phi,
-        "squeezed_vacuum_crb": squeezed_vacuum_crb(grid).delta_phi,
+        "sql_sample": sql_sample(grid),
+        "heisenberg_n0": heisenberg(2.0 * grid),
+        "squeezed_vacuum_crb": squeezed_vacuum_crb(grid),
     }
     for eta in eta_list:
         cols[f"loss_bound_eta_{_column_tag(eta)}"] = loss_bound(
-            grid, eta, PowerConstraint.SAMPLE).delta_phi
+            grid, eta, PowerConstraint.SAMPLE)
     return FigureDataset(
         figure_id="phase-precision-limits",
         axes=(Axis("n_sig", grid, "log"),),

@@ -13,14 +13,14 @@ up, so they are explicit everywhere:
 The quantum Fisher information route is the single source of truth for
 variance-based bounds: sql_sample and squeezed_vacuum_crb are both thin
 wrappers over qfi_phase so the three can never drift apart. The phase
-bounds take numpy arrays as well as scalars; domain.require_in rejects any
+bounds take numpy arrays as well as scalars and return delta_phi itself: a
+float, or an array of the input's shape. domain.require_in rejects any
 entry that is non-finite or out of range.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,24 +30,6 @@ from .domain import EFFICIENCY, require_in
 class PowerConstraint(enum.Enum):
     TOTAL = "total"
     SAMPLE = "sample"
-
-
-class BoundFamily(enum.Enum):
-    SQL_TOTAL = "sql-total"
-    SQL_SAMPLE = "sql-sample"
-    QNL = "qnl"
-    HEISENBERG = "heisenberg"
-    LOSS = "loss"
-    SQUEEZED_VACUUM_CRB = "squeezed-vacuum-crb"
-
-
-@dataclass(frozen=True)
-class PrecisionResult:
-    """A phase bound together with how it was budgeted."""
-
-    delta_phi: float
-    family: BoundFamily
-    constraint: PowerConstraint
 
 
 def qfi_phase(number_variance: float) -> tuple[float, float]:
@@ -60,60 +42,51 @@ def qfi_phase(number_variance: float) -> tuple[float, float]:
     return fisher, 1.0 / np.sqrt(fisher)
 
 
-def sql_total(n0: float) -> PrecisionResult:
+def sql_total(n0: float):
     """Shot-noise limit 1/sqrt(n0) referred to the total input power."""
-    n0 = require_in(n0, "n0", 0.0)
-    return PrecisionResult(1.0 / np.sqrt(n0), BoundFamily.SQL_TOTAL,
-                           PowerConstraint.TOTAL)
+    return 1.0 / np.sqrt(require_in(n0, "n0", 0.0))
 
 
-def sql_sample(n_sig: float) -> PrecisionResult:
+def sql_sample(n_sig: float):
     """Shot-noise limit 1/(2 sqrt(n_sig)) referred to sample exposure.
 
     A coherent probe has V(n_sig) = n_sig, so this is the Cramer-Rao bound
     at Poisson number variance.
     """
     require_in(n_sig, "n_sig", 0.0)
-    _, crb = qfi_phase(n_sig)
-    return PrecisionResult(crb, BoundFamily.SQL_SAMPLE, PowerConstraint.SAMPLE)
+    return qfi_phase(n_sig)[1]
 
 
-def qnl(n0: float, eta: float) -> PrecisionResult:
+def qnl(n0: float, eta: float):
     """Shot-noise limit after transmission eta: 1/sqrt(eta * n0)."""
     n0 = require_in(n0, "n0", 0.0)
-    # lossless eta = 1 is a legitimate limit here, unlike for loss_bound
     eta = require_in(eta, "eta", *EFFICIENCY)
-    return PrecisionResult(1.0 / np.sqrt(eta * n0), BoundFamily.QNL,
-                           PowerConstraint.TOTAL)
+    return 1.0 / np.sqrt(eta * n0)
 
 
-def heisenberg(n0: float) -> PrecisionResult:
+def heisenberg(n0: float):
     """Heisenberg scaling 1/n0. Meaningful only for n0 >= 1."""
-    n0 = require_in(n0, "n0", 1.0, lo_closed=True)
-    return PrecisionResult(1.0 / n0, BoundFamily.HEISENBERG, PowerConstraint.TOTAL)
+    return 1.0 / require_in(n0, "n0", 1.0, lo_closed=True)
 
 
 def loss_bound(n: float, eta: float,
-               constraint: PowerConstraint = PowerConstraint.TOTAL) -> PrecisionResult:
+               constraint: PowerConstraint = PowerConstraint.TOTAL):
     """Fundamental precision floor of a lossy channel.
 
     TOTAL:  sqrt((1-eta)/eta) / sqrt(n0)
     SAMPLE: sqrt((1-eta)/eta) / (2 sqrt(n_sig))
 
     No probe state, entangled or not, beats this through a channel of
-    transmission eta.
+    transmission eta. The floor is 0 at eta = 1, the lossless channel.
     """
     n = require_in(n, "photon number", 0.0)
-    # strict interior: at eta = 1 the floor is 0, at eta = 0 it diverges
-    eta = require_in(eta, "eta", 0.0, 1.0)
+    eta = require_in(eta, "eta", *EFFICIENCY)
     scale = np.sqrt((1.0 - eta) / eta)
     if constraint is PowerConstraint.TOTAL:
-        dphi = scale / np.sqrt(n)
-    elif constraint is PowerConstraint.SAMPLE:
-        dphi = scale / (2.0 * np.sqrt(n))
-    else:
-        raise ValueError(f"unknown power constraint {constraint!r}")
-    return PrecisionResult(dphi, BoundFamily.LOSS, constraint)
+        return scale / np.sqrt(n)
+    if constraint is PowerConstraint.SAMPLE:
+        return scale / (2.0 * np.sqrt(n))
+    raise ValueError(f"unknown power constraint {constraint!r}")
 
 
 def loss_transition_n0(eta: float) -> float:
@@ -126,7 +99,7 @@ def loss_transition_n0(eta: float) -> float:
     return eta / (1.0 - eta)
 
 
-def squeezed_vacuum_crb(n: float) -> PrecisionResult:
+def squeezed_vacuum_crb(n: float):
     """Cramer-Rao bound of a squeezed-vacuum probe with <n_sig> = n.
 
     Squeezed vacuum has V(n) = 2(n^2 + n), hence F = 8(n^2 + n) and
@@ -134,9 +107,7 @@ def squeezed_vacuum_crb(n: float) -> PrecisionResult:
     Gaussian state.
     """
     n = require_in(n, "n", 0.0)
-    _, crb = qfi_phase(2.0 * (n * n + n))
-    return PrecisionResult(crb, BoundFamily.SQUEEZED_VACUUM_CRB,
-                           PowerConstraint.SAMPLE)
+    return qfi_phase(2.0 * (n * n + n))[1]
 
 
 # --- classical-instrument benchmarks -------------------------------------

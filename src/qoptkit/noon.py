@@ -28,7 +28,9 @@ in closed form, with the physical optimum being the best integer near N*.
 eta^-N overflows double precision already at modest N for small eta, so all
 evaluations of eta^-N + 1 go through logaddexp. noon_enhancement,
 noon_optimal_n and noon_best_precision take numpy arrays as well as scalars
-and evaluate elementwise, so whole grids go through one call.
+and evaluate elementwise, so whole grids go through one call. Every quantity
+is computed by numpy alone, so a scalar call returns, bit for bit, the entry
+an array call gives at the same point.
 """
 from __future__ import annotations
 
@@ -39,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Axis, FigureDataset
-from .domain import (EFFICIENCY, NOON_N, POSITIVE, require_grid, require_in,
-                     require_int)
+from .domain import (EFFICIENCY, NOON_N, TARGET_RATE, require_grid,
+                     require_in, require_int)
 from .limits import PowerConstraint, loss_bound, sql_sample
 
 N_SEARCH_MAX = 200  # caps n_opt; binds for eta > e^(x*/200), about 0.99363
@@ -65,24 +67,12 @@ class NoonLossReport:
         return abs(self.m_repetitions - round(self.m_repetitions)) < 1e-9
 
 
-def _backend(*args):
-    """math when every argument is a scalar, numpy otherwise.
-
-    numpy's vectorised exp and log differ from libm in the last bit for a
-    few percent of arguments, and N ln(eta) amplifies a change in ln(eta)
-    N|ln eta|-fold, so scalar results keep libm and stay bit-stable.
-    """
-    return math if all(np.ndim(x) == 0 for x in args) else np
-
-
-def _log1p_eta_negn(n, eta, xp):
+def _log1p_eta_negn(n, eta):
     """log(eta^-N + 1), overflow-safe."""
-    return np.logaddexp(-n * xp.log(eta), 0.0)
+    return np.logaddexp(-n * np.log(eta), 0.0)
 
 
-def _exp_or_inf(x, xp):
-    if xp is math:
-        return math.exp(x) if x < 709.0 else math.inf
+def _exp_or_inf(x):
     with np.errstate(over="ignore"):
         return np.exp(x)
 
@@ -91,8 +81,8 @@ def noon_single_shot(n: float, eta: float) -> float:
     """One-state precision sqrt((eta^-N + 1)/2)/N; equals 1/N at eta=1."""
     require_int(n, "N", *NOON_N)
     require_in(eta, "eta", *EFFICIENCY)
-    log1p = _log1p_eta_negn(n, eta, math)
-    return _exp_or_inf(0.5 * (log1p - math.log(2.0)), math) / n
+    log1p = _log1p_eta_negn(n, eta)
+    return _exp_or_inf(0.5 * (log1p - math.log(2.0))) / n
 
 
 def noon_enhancement(n, eta):
@@ -103,16 +93,13 @@ def noon_enhancement(n, eta):
     """
     n = require_in(n, "N", 1.0, lo_closed=True)
     eta = require_in(eta, "eta", *EFFICIENCY)
-    xp = _backend(n, eta)
-    return xp.exp(0.5 * (xp.log(n) - _log1p_eta_negn(n, eta, xp)))
+    return np.exp(0.5 * (np.log(n) - _log1p_eta_negn(n, eta)))
 
 
 def _delta_phi_m(n, eta, n_sig):
     # real-valued core shared by the report path and the smooth curves
-    xp = _backend(n, eta, n_sig)
-    return _exp_or_inf(
-        0.5 * (_log1p_eta_negn(n, eta, xp) - xp.log(n)), xp
-    ) / (2.0 * xp.sqrt(n_sig))
+    return _exp_or_inf(0.5 * (_log1p_eta_negn(n, eta) - np.log(n))) / (
+        2.0 * np.sqrt(n_sig))
 
 
 def noon_repeated(n: float, eta: float, n_sig: float) -> NoonLossReport:
@@ -166,7 +153,7 @@ def noon_optimal_n(eta):
     three arrays of its shape.
     """
     eta = require_in(eta, "eta", 0.0, 1.0)
-    root = STATIONARY_X / _backend(eta).log(eta)
+    root = STATIONARY_X / np.log(eta)
     # E rises up to the root and falls after it, so the best integer is
     # floor(root) or ceil(root), or the cap when the root lies past it
     base = np.maximum(1.0, np.floor(root) - 1.0)
@@ -206,7 +193,7 @@ def noon_flux_requirement(n: float, target_sql_n_sig: float,
     behind order-of-magnitude source-rate estimates).
     """
     require_int(n, "N", *NOON_N)
-    require_in(target_sql_n_sig, "target rate", *POSITIVE)
+    require_in(target_sql_n_sig, "target rate", *TARGET_RATE)
     if constraint is PowerConstraint.SAMPLE:
         return 4.0 * target_sql_n_sig / (n * n)
     if constraint is PowerConstraint.TOTAL:
@@ -218,18 +205,16 @@ def noon_precision_curve(eta: float, n_sig_grid) -> FigureDataset:
     """Best NOON precision vs sample exposure, with its reference lines.
 
     Columns: delta_phi and n_state (the N in play) from noon_best_precision,
-    and the sql_sample and loss_bound references. The loss reference is
-    reported as 0 at eta=1.
+    and the sql_sample and loss_bound references; the loss reference is 0
+    at eta=1.
     """
     require_in(eta, "eta", *EFFICIENCY)
     grid = require_grid(n_sig_grid, "n_sig grid", 0.0)
     require_in(np.diff(grid), "n_sig grid steps", 0.0)  # strictly ascending
     if eta < 1.0:
         n_opt, _, root = noon_optimal_n(eta)
-        floor = loss_bound(grid, eta, PowerConstraint.SAMPLE).delta_phi
     else:
         n_opt, root = math.inf, math.inf  # lossless: bigger N always helps
-        floor = np.zeros_like(grid)
     dphi, n_state = noon_best_precision(eta, grid, n_opt)
     kink = n_opt / 2.0
     return FigureDataset(
@@ -238,8 +223,8 @@ def noon_precision_curve(eta: float, n_sig_grid) -> FigureDataset:
         columns={
             "delta_phi": dphi,
             "n_state": n_state,
-            "sql_sample": sql_sample(grid).delta_phi,
-            "loss_bound": floor,
+            "sql_sample": sql_sample(grid),
+            "loss_bound": loss_bound(grid, eta, PowerConstraint.SAMPLE),
         },
         metadata={
             "eta": eta,

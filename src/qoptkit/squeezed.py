@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Axis, FigureDataset
-from .domain import (COMPARE_N_SIG, EFFICIENCY, MAX_CELLS, POSITIVE,
-                     check_size, require_grid, require_in)
+from .domain import (AMPLITUDE, COMPARE_N_SIG, EFFICIENCY, MAX_CELLS,
+                     POSITIVE, check_size, require_grid, require_in)
 from .limits import sql_sample
 from .noon import noon_best_precision, noon_optimal_n
 
@@ -46,7 +46,7 @@ def squeezed_precision(alpha: float, v_sqz: float, eta: float) -> float:
     probe (v_sqz = 1) without loss. Any v_sqz < 1 beats the quantum noise
     limit of the same lossy apparatus.
     """
-    alpha = require_in(alpha, "alpha", *POSITIVE)
+    alpha = require_in(alpha, "alpha", *AMPLITUDE)
     v_sqz = require_in(v_sqz, "v_sqz", *POSITIVE)
     eta = require_in(eta, "eta", *EFFICIENCY)
     return np.sqrt(v_sqz + _loss_noise(eta)) / (2.0 * alpha)
@@ -116,7 +116,7 @@ def optimal_squeezing(n_sig: float, eta: float) -> SqueezedBudgetReport:
         v_opt=v_opt,
         n_opt_nonclassical=squeezing_photon_cost(v_opt),
         delta_phi=dphi,
-        enhancement=sql_sample(n_sig).delta_phi / dphi,
+        enhancement=sql_sample(n_sig) / dphi,
     )
 
 

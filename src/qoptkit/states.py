@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import EPSILON, NOON_N, check_size, require_in, require_int
+from .domain import EPSILON, check_size, require_in, require_int
 
 # Normalization slack tolerated on any stored pmf. Every truncated support
 # (the geometric prior's, and each heralding posterior's, sized from its own
@@ -87,18 +87,6 @@ class PdcTwinBeam:
     @property
     def mean_photons(self) -> float:
         return self.epsilon / (1.0 - self.epsilon)
-
-
-@dataclass(frozen=True)
-class NoonSpec:
-    """An N-photon path-entangled state repeated M independent times."""
-
-    n: int
-    m: int = 1
-
-    def __post_init__(self):
-        require_int(self.n, "NOON photon number", *NOON_N)
-        require_int(self.m, "repetition count", 1)
 
 
 @dataclass(frozen=True)

@@ -68,25 +68,25 @@ def test_criterion_01_bound_identities(say):
     worst = 0.0
     for n in grid:
         pairs = (
-            (sql_total(n).delta_phi, 1.0 / math.sqrt(n)),
-            (sql_sample(n).delta_phi, 1.0 / (2.0 * math.sqrt(n))),
-            (qnl(n, eta).delta_phi, 1.0 / math.sqrt(eta * n)),
-            (heisenberg(n).delta_phi, 1.0 / n),
-            (loss_bound(n, eta).delta_phi,
+            (sql_total(n), 1.0 / math.sqrt(n)),
+            (sql_sample(n), 1.0 / (2.0 * math.sqrt(n))),
+            (qnl(n, eta), 1.0 / math.sqrt(eta * n)),
+            (heisenberg(n), 1.0 / n),
+            (loss_bound(n, eta),
              math.sqrt((1.0 - eta) / eta) / math.sqrt(n)),
-            (loss_bound(n, eta, PowerConstraint.SAMPLE).delta_phi,
+            (loss_bound(n, eta, PowerConstraint.SAMPLE),
              math.sqrt((1.0 - eta) / eta) / (2.0 * math.sqrt(n))),
-            (squeezed_vacuum_crb(n).delta_phi,
+            (squeezed_vacuum_crb(n),
              1.0 / (2.0 * math.sqrt(2.0 * (n * n + n)))),
         )
         for got, want in pairs:
             worst = max(worst, abs(got - want) / want)
         # structural orderings at every point
-        assert heisenberg(n).delta_phi <= sql_total(n).delta_phi
-        assert squeezed_vacuum_crb(n).delta_phi < heisenberg(n).delta_phi
-        assert qnl(n, eta).delta_phi >= sql_total(n).delta_phi
-        assert loss_bound(n, 0.4).delta_phi > sql_total(n).delta_phi
-        assert loss_bound(n, 0.6).delta_phi < sql_total(n).delta_phi
+        assert heisenberg(n) <= sql_total(n)
+        assert squeezed_vacuum_crb(n) < heisenberg(n)
+        assert qnl(n, eta) >= sql_total(n)
+        assert loss_bound(n, 0.4) > sql_total(n)
+        assert loss_bound(n, 0.6) < sql_total(n)
     dt = time.perf_counter() - t0
     ok = worst < 1e-12 and dt < 1.0
     say(f"criterion 1: {'PASS' if ok else 'FAIL'} bound identities "
@@ -156,7 +156,7 @@ def test_criterion_04_squeezed_optimum(say):
 def test_criterion_05_asymptote_within_one_percent(say):
     def excess(n_sig, eta):
         dphi = optimal_squeezing(n_sig, eta).delta_phi
-        floor = loss_bound(n_sig, eta, PowerConstraint.SAMPLE).delta_phi
+        floor = loss_bound(n_sig, eta, PowerConstraint.SAMPLE)
         return dphi / floor - 1.0
 
     rows = []

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from qoptkit import (
-    DetectorKind,
-    DetectorModel,
     LossChannel,
     PdcTwinBeam,
     PhotonDistribution,
@@ -45,8 +43,6 @@ def test_loss_channel_validation():
         LossChannel(-0.1)
     with pytest.raises(ValueError):
         LossChannel(1.1)
-    with pytest.raises(ValueError):
-        DetectorModel(DetectorKind.BUCKET, 1.5)
 
 
 def test_apply_loss_endpoints():

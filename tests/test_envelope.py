@@ -158,6 +158,14 @@ EXTREMES = [
     # n0 = 2 n_sig would fall below the Heisenberg bound's n0 >= 1
     (["limits", "--n-sig", "1e-300"], "argument --n-sig"),
     (["compare", "--n-sig-max", "200"], "argument --n-sig-max"),
+    # 4 rate/N^2, 1/(2 alpha) and a single state's dphi ~ 1/(2 n_sig) would
+    # overflow to a non-finite column
+    (["noon", "--flux", "--n", "1", "--target-rate", "1e308"],
+     "argument --target-rate"),
+    (["squeezed", "--alpha", "1e-320", "--v-sqz", "1", "--eta", "0.5"],
+     "argument --alpha"),
+    (["noon", "--curve", "--eta", "0.5", "--n-sig-min", "1e-320",
+      "--n-sig-max", "1"], "argument --n-sig-min"),
 ]
 
 

@@ -8,6 +8,7 @@ import oracles
 from qoptkit import (
     PowerConstraint,
     loss_bound,
+    noon_best_precision,
     noon_enhancement,
     noon_flux_requirement,
     noon_optimal_n,
@@ -65,7 +66,7 @@ def test_enhancement_vs_precision_consistency():
     for n, eta, n_sig in ((3, 0.7, 10.0), (12, 0.9, 600.0), (2, 0.55, 1.0)):
         r = noon_repeated(n, eta, n_sig)
         assert r.enhancement == pytest.approx(
-            sql_sample(n_sig).delta_phi / r.delta_phi_m, rel=1e-12)
+            sql_sample(n_sig) / r.delta_phi_m, rel=1e-12)
 
 
 def test_repeated_frozen():
@@ -145,6 +146,24 @@ def test_optimal_n_pins_to_search_bound():
     assert e == pytest.approx(noon_enhancement(200, 0.999), rel=1e-14)
 
 
+def test_scalar_call_equals_array_entry_bit_for_bit():
+    # one numpy path: a scalar call is the array call at one point, so even
+    # the last bit agrees (libm and numpy's SIMD log/exp need not)
+    rng = np.random.default_rng(2024)
+    n = rng.integers(1, 400, 2000).astype(float)
+    eta = rng.uniform(0.3, 1.0, 2000)
+    n_sig = 10.0 ** rng.uniform(-1.0, 4.0, 2000)
+    enh = noon_enhancement(n, eta)
+    n_opt, best, root = noon_optimal_n(eta)
+    dphi, n_state = noon_best_precision(eta, n_sig, n_opt)
+    for i in range(len(eta)):
+        assert noon_enhancement(n[i], eta[i]) == enh[i], (n[i], eta[i])
+        one = noon_optimal_n(eta[i])
+        assert one == (n_opt[i], best[i], root[i]), eta[i]
+        one = noon_best_precision(eta[i], n_sig[i], n_opt[i])
+        assert one == (dphi[i], n_state[i]), (eta[i], n_sig[i])
+
+
 def test_optimal_n_rejects_lossless():
     with pytest.raises(ValueError):
         noon_optimal_n(1.0)
@@ -184,7 +203,7 @@ def test_precision_curve_never_beats_loss_floor():
         floor = ds.columns["loss_bound"]
         assert np.all(ds.columns["delta_phi"] >= floor * (1.0 - 1e-12))
         ref = np.array([
-            loss_bound(n, eta, PowerConstraint.SAMPLE).delta_phi for n in grid
+            loss_bound(n, eta, PowerConstraint.SAMPLE) for n in grid
         ])
         assert np.allclose(floor, ref, rtol=1e-14)
 
@@ -223,7 +242,7 @@ def test_optimal_n_is_local_argmax(eta):
        st.floats(min_value=30.0, max_value=1e6))
 def test_repeated_never_beats_loss_floor(n, eta, n_sig):
     r = noon_repeated(n, eta, n_sig)
-    floor = loss_bound(n_sig, eta, PowerConstraint.SAMPLE).delta_phi
+    floor = loss_bound(n_sig, eta, PowerConstraint.SAMPLE)
     assert r.delta_phi_m >= floor * (1.0 - 1e-12)
 
 

@@ -51,7 +51,7 @@ def test_budget_frozen():
     assert squeezed_precision_budget(10.0, 0.1775, 0.5) == pytest.approx(
         0.18038232636067958, rel=1e-14)
     assert squeezed_precision_budget(10.0, 1.0, 1.0) == pytest.approx(
-        sql_sample(10.0).delta_phi, rel=1e-14)
+        sql_sample(10.0), rel=1e-14)
 
 
 def test_budget_consistency_with_fixed_state():
@@ -133,7 +133,7 @@ def test_asymptote_excess_scaling():
         big_l = (1.0 - eta) / eta
         n_sig = 1000.0 / big_l
         dphi = optimal_squeezing(n_sig, eta).delta_phi
-        floor = loss_bound(n_sig, eta, PowerConstraint.SAMPLE).delta_phi
+        floor = loss_bound(n_sig, eta, PowerConstraint.SAMPLE)
         excess = dphi / floor - 1.0
         assert 0.014 < excess < 0.018
         # prediction 1/(2 sqrt(n L)) = 1/(2 sqrt(1000))
@@ -192,5 +192,5 @@ def test_optimal_beats_no_squeezing(eta, n_sig):
 @settings(max_examples=60)
 def test_optimal_respects_loss_floor(eta, n_sig):
     dphi = optimal_squeezing(n_sig, eta).delta_phi
-    floor = loss_bound(n_sig, eta, PowerConstraint.SAMPLE).delta_phi
+    floor = loss_bound(n_sig, eta, PowerConstraint.SAMPLE)
     assert dphi >= floor * (1.0 - 1e-12)

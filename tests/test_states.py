@@ -9,7 +9,6 @@ from qoptkit import (
     BunchingClass,
     EtpaCoherence,
     GaussianProbe,
-    NoonSpec,
     PdcTwinBeam,
     PhotonDistribution,
     bright_squeezed_g2,
@@ -92,16 +91,6 @@ def test_pdc_validation_and_truncation():
         n = geometric_n_max(eps)
         assert eps ** n <= 1e-16 * (1.0 + 1e-9)
         assert eps ** (n - 1) > 1e-16
-
-
-def test_noon_spec_validation():
-    s = NoonSpec(4, 100)
-    assert s.n == 4 and s.m == 100
-    assert NoonSpec(1).m == 1
-    with pytest.raises(ValueError):
-        NoonSpec(0)
-    with pytest.raises(ValueError):
-        NoonSpec(3, 0)
 
 
 def test_g2_self_cases():
