@@ -2,10 +2,13 @@
 file-emitting command.
 
 Output is a FigureDataset in CSV (RFC 4180, 17 significant digits) or JSON
-(figure_id / axes / columns / metadata). Writes are atomic (temp file +
-rename in the destination directory). A relative --out path is resolved
-against $QOPTKIT_OUT_DIR when that is set. Without --out, the dataset goes
-to standard output; all diagnostics go to standard error.
+(figure_id / axes / columns / metadata). JSON metadata adds qoptkit_version
+and arguments (each parsed flag in parse order, defaults filled in, except
+--format and --out) to what the library builder records, so no path enters
+a dataset. Writes are atomic (temp file + rename in the destination
+directory). A relative --out path is resolved against $QOPTKIT_OUT_DIR when
+that is set. Without --out, the dataset goes to standard output; all
+diagnostics go to standard error.
 
 Exit status: 0 success, 2 flag/precondition validation failure (a flag
 outside its domain is refused at parse time, by name), 1 runtime failure.
@@ -19,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import figures, limits, montecarlo, noon, squeezed
+from . import __version__, figures, limits, montecarlo, noon, squeezed
 from .conditioning import DetectorKind
 from .dataset import FigureDataset, write_text_atomic
 from .domain import (ABSORPTION, ABSORPTION_N_SIG, AMPLITUDE, COMPARE_N_SIG,
@@ -34,15 +37,14 @@ from .montecarlo import DEFAULT_SEED, SimConfig
 OUT_DIR_ENV = "QOPTKIT_OUT_DIR"
 
 
-def _scalar_dataset(figure_id: str, values: dict[str, float],
-                    metadata: dict) -> FigureDataset:
+def _scalar_dataset(figure_id: str, values: dict[str, float]) -> FigureDataset:
     cols = {k: np.array([float(v)]) for k, v in values.items()}
-    return FigureDataset(figure_id, axes=(), columns=cols, metadata=metadata)
+    return FigureDataset(figure_id, axes=(), columns=cols)
 
 
-def _report_dataset(figure_id: str, report, metadata: dict) -> FigureDataset:
+def _report_dataset(figure_id: str, report) -> FigureDataset:
     values = {k: getattr(report, k) for k in report.__dataclass_fields__}
-    return _scalar_dataset(figure_id, values, metadata)
+    return _scalar_dataset(figure_id, values)
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -55,9 +57,12 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
-def _emit(dataset: FigureDataset, fmt: str, out: str | None) -> None:
-    text = dataset.to_csv() if fmt == "csv" else dataset.to_json()
-    path = _resolve_out(out)
+def _emit(dataset: FigureDataset, args) -> None:
+    arguments = {k: v for k, v in vars(args).items()
+                 if k not in ("format", "out")}
+    dataset.metadata.update(qoptkit_version=__version__, arguments=arguments)
+    text = dataset.to_csv() if args.format == "csv" else dataset.to_json()
+    path = _resolve_out(args.out)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -68,12 +73,6 @@ def _n_sig_grid(args) -> np.ndarray:
     require_in(args.n_sig_max, "--n-sig-max", args.n_sig_min)
     return np.logspace(math.log10(args.n_sig_min), math.log10(args.n_sig_max),
                        args.n_sig_points)
-
-
-def _eta_grid_log_loss(args) -> np.ndarray:
-    require_in(args.eta_max, "--eta-max", args.eta_min, 1.0)
-    return 1.0 - np.logspace(math.log10(1.0 - args.eta_min),
-                             math.log10(1.0 - args.eta_max), args.eta_points)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -290,8 +289,7 @@ def _cmd_limits(args) -> FigureDataset:
                                                limits.PowerConstraint.SAMPLE),
         "squeezed_vacuum_crb": limits.squeezed_vacuum_crb(n_sig),
     }
-    return _scalar_dataset("precision-limits-point", values,
-                           {"n_sig": n_sig, "n0": n0, "eta": eta})
+    return _scalar_dataset("precision-limits-point", values)
 
 
 def _cmd_noon(args) -> FigureDataset:
@@ -299,15 +297,13 @@ def _cmd_noon(args) -> FigureDataset:
         _require(args, ["n"], "--threshold")
         value = noon.noon_threshold_efficiency(args.n)
         return _scalar_dataset("noon-threshold",
-                               {"threshold_efficiency": value},
-                               {"n": args.n})
+                               {"threshold_efficiency": value})
     if args.optimal:
         _require(args, ["eta"], "--optimal")
         n_opt, enh, root = noon.noon_optimal_n(args.eta)
         return _scalar_dataset(
             "noon-optimal",
-            {"n_opt": n_opt, "enhancement": enh, "stationarity_root": root},
-            {"eta": args.eta})
+            {"n_opt": n_opt, "enhancement": enh, "stationarity_root": root})
     if args.curve:
         _require(args, ["eta"], "--curve")
         return noon.noon_precision_curve(args.eta, _n_sig_grid(args))
@@ -316,37 +312,32 @@ def _cmd_noon(args) -> FigureDataset:
         constraint = (limits.PowerConstraint.TOTAL if args.total_power
                       else limits.PowerConstraint.SAMPLE)
         rate = noon.noon_flux_requirement(args.n, args.target_rate, constraint)
-        return _scalar_dataset(
-            "noon-flux",
-            {"trials_per_second": rate},
-            {"n": args.n, "target_rate": args.target_rate,
-             "constraint": constraint.value})
+        return _scalar_dataset("noon-flux", {"trials_per_second": rate})
     _require(args, ["n", "eta", "n-sig"], "noon report")
     report = noon.noon_repeated(args.n, args.eta, args.n_sig)
-    return _report_dataset("noon-loss-report", report, {"n_sig": args.n_sig})
+    return _report_dataset("noon-loss-report", report)
 
 
 def _cmd_squeezed(args) -> FigureDataset:
     if args.alpha is not None:
         _require(args, ["v-sqz"], "--alpha mode")
         dphi = squeezed.squeezed_precision(args.alpha, args.v_sqz, args.eta)
-        return _scalar_dataset(
-            "squeezed-precision", {"delta_phi": dphi},
-            {"alpha": args.alpha, "v_sqz": args.v_sqz, "eta": args.eta})
+        return _scalar_dataset("squeezed-precision", {"delta_phi": dphi})
     _require(args, ["n-sig"], "squeezed")
     if args.v_sqz is not None:
         dphi = squeezed.squeezed_precision_budget(args.n_sig, args.v_sqz,
                                                   args.eta)
-        return _scalar_dataset(
-            "squeezed-budget-precision", {"delta_phi": dphi},
-            {"n_sig": args.n_sig, "v_sqz": args.v_sqz, "eta": args.eta})
+        return _scalar_dataset("squeezed-budget-precision",
+                               {"delta_phi": dphi})
     report = squeezed.optimal_squeezing(args.n_sig, args.eta)
-    return _report_dataset("squeezed-optimal-report", report, {})
+    return _report_dataset("squeezed-optimal-report", report)
 
 
 def _cmd_compare(args) -> FigureDataset:
-    return squeezed.noon_vs_squeezed_grid(_eta_grid_log_loss(args),
-                                          _n_sig_grid(args))
+    require_in(args.eta_max, "--eta-max", args.eta_min, 1.0)
+    eta_grid = squeezed.default_eta_grid(args.eta_points, args.eta_min,
+                                         args.eta_max)
+    return squeezed.noon_vs_squeezed_grid(eta_grid, _n_sig_grid(args))
 
 
 def _cmd_simulate(args) -> FigureDataset:
@@ -354,35 +345,22 @@ def _cmd_simulate(args) -> FigureDataset:
         cfg = SimConfig(seed=args.seed, trials=args.trials, phase=args.phase,
                         n_photons=args.n0, eta=args.eta)
         report = montecarlo.simulate_coherent_mz(cfg)
-        return _report_dataset(
-            "sim-coherent-mz", report,
-            {"n0": args.n0, "eta": args.eta, "phase": args.phase,
-             "trials": args.trials, "seed": args.seed})
+        return _report_dataset("sim-coherent-mz", report)
     if args.experiment == "noon-fringe":
         return montecarlo.simulate_noon_fringe(args.phase_points, args.trials,
                                                args.seed)
     if args.experiment == "hom":
         rate = montecarlo.simulate_hom(args.trials, args.distinguishable,
                                        args.seed)
-        return _scalar_dataset(
-            "sim-hom", {"cross_coincidence_rate": rate},
-            {"trials": args.trials, "distinguishable": args.distinguishable,
-             "seed": args.seed})
+        return _scalar_dataset("sim-hom", {"cross_coincidence_rate": rate})
     if args.experiment == "absorption":
         report = montecarlo.simulate_heralded_absorption(
             args.alpha_true, args.n_sig, args.heralded, args.trials, args.seed)
-        return _report_dataset(
-            "sim-absorption", report,
-            {"alpha_true": args.alpha_true, "n_sig": args.n_sig,
-             "heralded": args.heralded, "trials": args.trials,
-             "seed": args.seed})
+        return _report_dataset("sim-absorption", report)
     cfg = SimConfig(seed=args.seed, trials=args.trials, phase=args.phase,
                     n_photons=args.alpha**2, eta=args.eta)
     report = montecarlo.simulate_homodyne_squeezed(cfg, args.v_sqz)
-    return _report_dataset(
-        "sim-homodyne", report,
-        {"alpha": args.alpha, "v_sqz": args.v_sqz, "eta": args.eta,
-         "phase": args.phase, "trials": args.trials, "seed": args.seed})
+    return _report_dataset("sim-homodyne", report)
 
 
 def _cmd_figure(args) -> FigureDataset:
@@ -419,7 +397,7 @@ def run(argv) -> int:
         # refuses by name, so numpy's own warning would only repeat it
         with np.errstate(all="ignore"):
             dataset = _DISPATCH[args.command](args)
-        _emit(dataset, args.format, args.out)
+        _emit(dataset, args)
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

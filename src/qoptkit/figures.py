@@ -30,8 +30,15 @@ DEFAULT_CONDITION_ETAS = (1.0, 0.7, 0.4, 0.1)
 DEFAULT_SQZ_N_SIG = (1.0, 10.0, 100.0, 1000.0)
 
 
-def _column_tag(value: float) -> str:
-    return format(value, "g")
+def _column_tags(values: tuple, name: str) -> list[str]:
+    """Each value's %g text, which names its columns; two values with the same
+    text would overwrite one column, so they are refused."""
+    tags = [format(v, "g") for v in values]
+    if len(set(tags)) < len(tags):
+        raise ValueError(f"{name} values {', '.join(map(str, values))} must "
+                         "differ in the 6 significant digits that name their "
+                         "columns")
+    return tags
 
 
 def fig_limits(n_sig_grid=None, eta_list=(0.5, 0.9, 0.99)) -> FigureDataset:
@@ -52,9 +59,9 @@ def fig_limits(n_sig_grid=None, eta_list=(0.5, 0.9, 0.99)) -> FigureDataset:
         "heisenberg_n0": heisenberg(2.0 * grid),
         "squeezed_vacuum_crb": squeezed_vacuum_crb(grid),
     }
-    for eta in eta_list:
-        cols[f"loss_bound_eta_{_column_tag(eta)}"] = loss_bound(
-            grid, eta, PowerConstraint.SAMPLE)
+    for eta, tag in zip(eta_list, _column_tags(eta_list, "eta_list")):
+        cols[f"loss_bound_eta_{tag}"] = loss_bound(grid, eta,
+                                                   PowerConstraint.SAMPLE)
     return FigureDataset(
         figure_id="phase-precision-limits",
         axes=(Axis("n_sig", grid, "log"),),
@@ -108,9 +115,9 @@ def fig_squeezed_loss(eta_grid=None,
     # one row of reports per n_sig, one column per eta
     r = optimal_squeezing(require_grid(n_sig_list, "n_sig", 0.0)[:, None],
                           grid)
+    tags = _column_tags(n_sig_list, "n_sig_list")
     cols: dict[str, np.ndarray] = {}
-    for i, n_sig in enumerate(n_sig_list):
-        tag = _column_tag(n_sig)
+    for i, tag in enumerate(tags):
         cols[f"v_opt_n_{tag}"] = r.v_opt[i]
         cols[f"n_nonclassical_n_{tag}"] = r.n_opt_nonclassical[i]
         cols[f"enhancement_n_{tag}"] = r.enhancement[i]
@@ -159,16 +166,17 @@ def fig_conditional(side: str = PROBE, detector=DetectorKind.NUMBER_RESOLVING,
     detector = DetectorKind(detector)
     eta_list = tuple(eta_list)
     require_grid(eta_list, "eta", *TRANSMISSION)
+    tags = _column_tags(eta_list, "eta_list")
     state = PdcTwinBeam(epsilon)
     pmfs = [
         _panel_pmf(side, detector, state, eta, n_det) for eta in eta_list
     ]
     n_max = max(p.n_max for p in pmfs)
     cols = {}
-    for eta, p in zip(eta_list, pmfs):
+    for tag, p in zip(tags, pmfs):
         padded = np.zeros(n_max + 1)
         padded[: p.n_max + 1] = p.pmf
-        cols[f"pmf_eta_{_column_tag(eta)}"] = padded
+        cols[f"pmf_eta_{tag}"] = padded
     return FigureDataset(
         figure_id=f"conditional-pmf-{side}-{detector.value}",
         axes=(Axis("n_photons", np.arange(n_max + 1.0), "linear"),),

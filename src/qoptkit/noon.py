@@ -35,7 +35,6 @@ an array call gives at the same point.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,18 +127,11 @@ def noon_repeated(n: float, eta: float, n_sig: float) -> NoonLossReport:
 def noon_threshold_efficiency(n: int) -> float:
     """Efficiency above which an N-photon state beats shot noise: (N-1)^(-1/N).
 
-    Solves E = 1. Minimized over N at N=5 (eta ~ 0.758). N=2 returns 1.0,
-    meaning no lossy two-photon advantage exists; warned because the returned
-    "threshold" cannot be exceeded.
+    Solves E = 1. Minimized over N at N=5 (eta ~ 0.758). N=2 gives exactly
+    1.0, a threshold no lossy channel reaches: a two-photon state never beats
+    shot noise under any loss.
     """
     require_int(n, "N", 2)
-    if n == 2:
-        warnings.warn(
-            "N=2 threshold is eta=1: a two-photon state never beats shot noise "
-            "under any loss",
-            stacklevel=2,
-        )
-        return 1.0
     return (n - 1.0) ** (-1.0 / n)
 
 

@@ -123,9 +123,11 @@ def optimal_squeezing(n_sig: float, eta: float) -> SqueezedBudgetReport:
 # -- strategy comparison ---------------------------------------------------
 
 
-def default_eta_grid(n_points: int = 200) -> np.ndarray:
-    """eta in [0.5, 0.999], log-spaced in the loss 1-eta, ascending."""
-    return 1.0 - np.logspace(math.log10(0.5), math.log10(1e-3), n_points)
+def default_eta_grid(n_points: int = 200, eta_min: float = 0.5,
+                     eta_max: float = 0.999) -> np.ndarray:
+    """eta in [eta_min, eta_max], log-spaced in the loss 1-eta, ascending."""
+    return 1.0 - np.logspace(math.log10(1.0 - eta_min),
+                             math.log10(1.0 - eta_max), n_points)
 
 
 def default_n_sig_grid(n_points: int = 200) -> np.ndarray:

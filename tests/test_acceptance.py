@@ -98,8 +98,7 @@ def test_criterion_01_bound_identities(say):
 def test_criterion_02_noon_thresholds(say):
     e3 = abs(noon_threshold_efficiency(3) - 2.0 ** (-1.0 / 3.0))
     e5 = abs(noon_threshold_efficiency(5) - 4.0 ** (-1.0 / 5.0))
-    with pytest.warns(UserWarning):
-        table = {n: noon_threshold_efficiency(n) for n in range(2, 60)}
+    table = {n: noon_threshold_efficiency(n) for n in range(2, 60)}
     n_best = min(table, key=table.get)
     ok = e3 < 1e-12 and e5 < 1e-12 and n_best == 5
     say(f"criterion 2: {'PASS' if ok else 'FAIL'} thresholds "

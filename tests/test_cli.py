@@ -40,13 +40,50 @@ def test_json_format(capsys):
     obj = json.loads(out)
     assert obj["figure_id"] == "precision-limits-point"
     assert obj["columns"]["sql_sample"] == [0.1]
-    assert obj["metadata"]["n_sig"] == 25.0
+    assert obj["metadata"]["arguments"]["n_sig"] == 25.0
+
+
+def test_spellings_that_parse_alike_write_the_same_json(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["noon", "--opt", "--eta", ".9", "--format", "json",
+                "--out", str(a)]) == 0
+    assert run(["noon", "--optimal", "--eta", "0.9", "--format", "json",
+                "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_out_path_never_enters_the_dataset(tmp_path, monkeypatch):
+    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "env"))
+    argv = ["limits", "--n-sig", "25", "--format", "json", "--out"]
+    absolute = tmp_path / "abs.json"
+    assert run(argv + [str(absolute)]) == 0
+    assert run(argv + ["rel.json"]) == 0
+    assert (tmp_path / "env" / "rel.json").read_bytes() == absolute.read_bytes()
+
+
+def test_compare_defaults_print_fig_compare(capsys):
+    assert run(["compare"]) == 0
+    compare = capsys.readouterr().out.splitlines()
+    assert run(["figure", "fig-compare"]) == 0
+    figure = capsys.readouterr().out.splitlines()
+    # row by row: pytest would diff two 40 001-line texts for minutes
+    assert len(compare) == len(figure) == 40_001
+    assert sum(a != b for a, b in zip(compare, figure)) == 0
 
 
 def test_noon_threshold_value(capsys):
     header, rows = run_csv(capsys, ["noon", "--n", "3", "--threshold"])
     assert header == ["threshold_efficiency"]
     assert rows[0][0] == 2.0 ** (-1.0 / 3.0)
+
+
+def test_noon_threshold_n2_prints_no_warning():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qoptkit.cli", "noon", "--threshold", "--n", "2"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == ["threshold_efficiency", "1"]
+    assert proc.stderr == ""
 
 
 def test_noon_report_and_modes(capsys):
@@ -184,6 +221,14 @@ def test_probe_bucket_near_unit_epsilon_is_fast():
     assert proc.returncode == 0
     assert proc.stdout.count("\n") == 36_826
     assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("etas", (["0.1234561", "0.1234562"], ["0.5", "0.5"]))
+def test_condition_refuses_etas_that_name_one_column(etas, capsys):
+    assert run(["condition", "--eta", etas[0], "--eta", etas[1]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "eta_list" in captured.err
 
 
 def test_oversized_support_refused_before_allocating(capsys):

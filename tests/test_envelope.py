@@ -339,8 +339,6 @@ COMMANDS = st.one_of(
 )
 
 
-# noon --threshold --n 2 warns that its threshold cannot be exceeded
-@pytest.mark.filterwarnings("ignore:N=2 threshold")
 @given(COMMANDS)
 @settings(max_examples=300, deadline=None)
 def test_any_small_argv_prints_a_finite_dataset_or_exits_2(argv):

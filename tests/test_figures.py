@@ -136,5 +136,18 @@ def test_fig_conditional_metadata_and_errors():
         fig_conditional(PROBE, DetectorKind.BUCKET, eta_list=())
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: fig_limits(np.logspace(0.0, 1.0, 3), eta_list=(0.5, 0.5)),
+     "eta_list"),
+    (lambda: fig_squeezed_loss(np.linspace(0.5, 1.0, 3),
+                               n_sig_list=(10, 10.0000001)), "n_sig_list"),
+    (lambda: fig_conditional(eta_list=(0.1234561, 0.1234562)), "eta_list"),
+])
+def test_values_that_share_a_column_name_are_refused(build, name):
+    # each value names its columns by its %g text, 6 significant digits
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
 def test_default_condition_etas_frozen():
     assert DEFAULT_CONDITION_ETAS == (1.0, 0.7, 0.4, 0.1)

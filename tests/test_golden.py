@@ -5,10 +5,12 @@ its largest absolute and relative change, in CHANGES.md. To see what moved,
 write the output at both commits and diff the parsed columns.
 """
 import hashlib
+import json
 
 import pytest
 
-from qoptkit.cli import run
+import qoptkit
+from qoptkit.cli import build_parser, run
 
 COMMANDS = {
     # the criterion-12 commands
@@ -57,119 +59,119 @@ GOLDEN = {
     ("sim-mz", "csv"):
         "ea71c2c8221506c59bd9f8a417d41c59280dfc3060c457e75d6229e48d8afa08",
     ("sim-mz", "json"):
-        "c2c0e61f604e73f8c023bf4a7ac78aa86e4c6e9129ca40322f9f626eb891bac8",
+        "fda1c89a422c88d8bb04fbdd1f445822f3ad6077d71eb98c942c93dcc74f812f",
     ("sim-noon-fringe", "csv"):
         "79353dab06592442dcba26522e07c6b429439beae019ddc59628ef20685552f9",
     ("sim-noon-fringe", "json"):
-        "98cc00edd94840663cf586bb817ebe8d0af033b11164021a8de105ebb5601b5a",
+        "dfd85ae733408263aa0229b0c37836d756d0c78efcc77ab15971c24beb2c8c82",
     ("sim-hom", "csv"):
         "435b8d4e732d70d91f1c8c7518e07712caaea3f4f0b0076d61233e45dce88cab",
     ("sim-hom", "json"):
-        "1bb31771afe38a4b36c08959451ee184945de851c0733a69e49c659720adef9a",
+        "0087f2fd0f68959efe76f57ffd893d389654567f78275860867b27990b4bf2a1",
     ("sim-homodyne", "csv"):
         "2d243072947aafdaf95cc811cdc8a8ca2588b37e99902d22e1e91de1e436685b",
     ("sim-homodyne", "json"):
-        "255cf354219297e2aef9bcd7d5e5d39195f012c1ff20466acd424e5366344260",
+        "160f92dde8efe2c2ffd7562009e5bb3f611ee80bf8c7aac594c9fb0aa7a9d94f",
     ("sim-absorption", "csv"):
         "8c5833e21f409538ace521e3f2d8c2c811cfedf78ea1125d44f5732336dfba1c",
     ("sim-absorption", "json"):
-        "adbbc2eb6d1826f4e8168aa138ecb995cdc32b084fd6b957533d7f662b1927e1",
+        "66d6bf5bf02ad3fd3be9794ffcbad9bbf3aae5e8bee0a558dda046e088aa3cc3",
     ("fig-limits", "csv"):
         "cbc71c5be24526c72d8dd1f9f4515d611abd02ea65b8084a1b236c405e594520",
     ("fig-limits", "json"):
-        "b8a09d0a70b8de9e4e2355ecf79a8747a5563e385c862976f1ebdc113f6aebb2",
+        "a3eba4310c1cf6a2c88bcef09c001743e096e2462e52cc7de50ba38b16751227",
     ("fig-noon-loss", "csv"):
         "2d0da1b9551ff65970e7e6955c573cfe40e1f8d0c7be076475b6b9a176d1b77a",
     ("fig-noon-loss", "json"):
-        "71c3a97b805f52001e31440f01bf120fb5503f4f82828cb569e0cebc45c512c2",
+        "dcbda6bb206702fc7c29d3e1b0fbcb4eb9e1bd6009b2902dd614d93c02a7bb05",
     ("fig-squeezed-loss", "csv"):
         "afc34aefaa45bb7090548656b1ba5ac1325f87ea2e5268ecdd4a5b8f53a4a9dc",
     ("fig-squeezed-loss", "json"):
-        "4873163289f51dfc2be754fef82cf37fefcd81f9153ff5c2e82596fc4a027006",
+        "c3f70723c95284b969a43252e6cb5cc78224944880b6a19debec2c22cb2a0597",
     ("fig-compare", "csv"):
-        "3836193858f0c83c03490c14543210d8812bcce167609ae734769c3019ecc33d",
+        "7dc630814ef815000a8b3b74e8828dce6b28c6bdbe2590ef34991083c69bbe02",
     ("fig-compare", "json"):
-        "c41bdd81687cf092085940c257e27768539b1a1a88bc4ef5e046007db641ff2a",
+        "b2ac7f3540449fa1cd1c0e4d0fc4ff5c1ec64652cf55c5737ab56dd24433ff92",
     ("fig-conditional-detector-bucket", "csv"):
         "c9bdafe3e6837c76817200d52839222ef65d1c6ecbf66f9490769865b0657d7e",
     ("fig-conditional-detector-bucket", "json"):
-        "a1d9a891b1e0e8feca8a6a269cd8387a16e2cb0cb2c1df44c763686a6900d000",
+        "22e181f56d5bcd538e2864a161511261803aa23a40edc6db1a34227c353d5e94",
     ("fig-conditional", "csv"):
         "c03bceb99e08af3a481b918ebeecabaaac8342033f5cd2a889b4ddacf1417028",
     ("fig-conditional", "json"):
-        "02d58a7d51b209c9d1305bc96bcf0d6f4dce053cc7c23d834db7397e915b3635",
+        "82bf9ac6aa37598c07bc761a60c76b92f1ab66aef1c02440a26881f3874b3851",
     ("limits", "csv"):
         "1615a2a305023df536fcefbe0cda87dab5d69ba800733a867d29c46f58b8ba32",
     ("limits", "json"):
-        "d4165b50d6ce3b1fd8e4e6d23a6111fb180ff9db63ccfa82f62c7158cac1e606",
+        "6c325f49e09bc10170b260d475f69445e42289ad62680d53dec533e955ab9b5e",
     ("limits-lossless", "csv"):
         "06e5d8e42cd4e2fdc2543007d5acde89d4ab069acf4d8a645ca510754fad4991",
     ("limits-lossless", "json"):
-        "79471de90e20a55f822d01179986956959e65e61793f4759800f9086122652cc",
+        "513c27c07ffae5a7edb4c562f7a285666f56fd00c8e54791890cdd1ca25efbf4",
     ("noon-threshold", "csv"):
         "793fa4b5ca1d7ae0146d001a118ef7252bd1bc4a79454b1b32f268b0ab226413",
     ("noon-threshold", "json"):
-        "9bb551295f9821a54f9b255e363c40a93b320d47f7dfb20d5a335394324e0359",
+        "fb487f20ec87866e71a4cba1bb34b4d9e3577ca4e4fe23a07dcb13906e4db390",
     ("noon-optimal", "csv"):
         "ec0247cd241f5417cbd3d4ad4584bcc168b2332f941a5be96154f7bb8d126062",
     ("noon-optimal", "json"):
-        "f274d01ed7981ce5b2af12ff6d3a7c4319a646ca98d86d98eca8cbce15c71c13",
+        "95654deaba3100c4b429038c752947256251e62d8db78f72d0cde09872a0e35d",
     ("noon-optimal-bound", "csv"):
         "d873625de39e48ef872d38dfe6378f512e2c9dcd0f0b854a6f24d9b0a781b4be",
     ("noon-optimal-bound", "json"):
-        "e2d29e3ade7b51eb3d89ef84bad93ac27b0dc15495564c9038129e33ed058cee",
+        "61885e9134b2642b8cea223823652afd2eb2daa667f926d481367600c8891d43",
     ("noon-optimal-low", "csv"):
         "dfcbc2bebca9409654a0aff02d922f6f90ed525b7fabe7e7128e997e73d248a8",
     ("noon-optimal-low", "json"):
-        "74ddb44297bb93a666a9ebe7d0457e0516b58d131917e39d7c78d9f9335160d9",
+        "b5095587bf8e131a64cf43a79e5ada7c4a66efdcafa9acdd813f9f4fad70eae0",
     ("noon-curve", "csv"):
         "e9e49e67460e6a55968ba6318be8a135abbdb7d7e123a1f8ac52cf04c1b03acf",
     ("noon-curve", "json"):
-        "234ddf0a57402f6a1b8af50a90764c0f4b68f4a3e25ab21459d5509145593b58",
+        "c732a2ab47a0ccf09311d61b55efe4bfe7d63cfed9a0359d6527d767c7416f6c",
     ("noon-curve-lossless", "csv"):
         "0d6e429ebafc6fd37d2ee7d1db62001d5dd7698172e94d9a9d1bc6e0208bb216",
     ("noon-curve-lossless", "json"):
-        "19f6005d7ba3714997bee39b5b6c2deadf27db90f0227b56b7435f35d9279e72",
+        "7042d218ac4f870847f0901dd62a77ee6b64b5a7586cf6c940916716a182c22e",
     ("noon-flux", "csv"):
         "6932de4a2d78e1e667cb0a0923cf10b76d2fc6d148a1e40f37823ca122808b27",
     ("noon-flux", "json"):
-        "7ae54ec22827cc4475c1b30870be81bde7ae22c8991a9959d17218a2a223b3a5",
+        "60e77c589f2c8e350ce7a1f75af5fe70d3b236a9e480207641658d534d3c0fc0",
     ("noon-report", "csv"):
         "ed1faa6af7000c609c39e990f049db2a176b134ae97634f03d0185286d2b582b",
     ("noon-report", "json"):
-        "bfe5314d75c408440b7bfc086401f810b0fcd9fc740460304d92b30db07a8606",
+        "d242baa84408049443f72adb646c2de5ce8898c36ab3ca4108d98fbb219efb92",
     ("squeezed-optimal", "csv"):
         "13d9573f2f5d55b121a5a8dd53292686ff0a3e3e70d5cd297cd51bb36c5d3206",
     ("squeezed-optimal", "json"):
-        "7067235f9d4af155550ff5675b2192ca62293a3313f74d864f8cc38f9b354295",
+        "497c80bcbac30891ba9223025a9bd84fb6be2e37ccbcadca4c395fad2d638a93",
     ("squeezed-v-sqz", "csv"):
         "3af027534e2895595676945a3222a8662c2e374dc6a47e9787ae8c81288a2649",
     ("squeezed-v-sqz", "json"):
-        "0a28ea34cd250f06104cc68bcd6702f31d6bac7ba778250948a12aa7c98ed76b",
+        "ee26bb25654b5a0d450fcdd22e45273d406fb7bd1805ec611fa132c2f3658331",
     ("squeezed-alpha", "csv"):
         "1d925f280e2f4b988a8ee05d07002c8907f842b6a5306557d3e1345976ea97f0",
     ("squeezed-alpha", "json"):
-        "6cb906efbec3f2f54085a6534e3fbeaf8925e3e17c7e87f361f5ca6a0ca5b0df",
+        "e3722b43362f39125ecdcbe7e192075b9d85af8cd24769edcced6720eb1f4114",
     ("compare", "csv"):
         "1dcd3e11a0f641aaeb16dbe278be2e1c856c2d9c801cfd061fc0b7d2aa47ee14",
     ("compare", "json"):
-        "36c19207f97f2e0700d5d5c0774f4deef8f53343366c694c39111af548ce1968",
+        "bde7137b96e0f8c1f0bf7d1f1ffb0796c505922674233452be3a9cfee7f0af09",
     ("condition-probe-nr", "csv"):
         "ce19914fe005236004760bf69310fa968f9eae83d40dbb2ceb021d16b057241a",
     ("condition-probe-nr", "json"):
-        "324820146399a07ff912ee4186394e51bd4b9585ae29f1d8fec5429a39042eda",
+        "2bc006fad9dc1f88134241cd0a01fd4e51dae06de6631df1a15f6ffc19a33eb1",
     ("condition-probe-bucket", "csv"):
         "d55f626d51bb0d75878db9c6607dc1fe589d22e6d5b5fbf6135ac4c5ffcf2853",
     ("condition-probe-bucket", "json"):
-        "dcc0fce38307d186983d537bc2f6afb7b89e33a42266da0dc1f632622b07c32e",
+        "e543be5b6e14caf793f7b0be59e3281bdb9ce16d43a1d69f56f098a0451e8e5e",
     ("condition-detector-nr", "csv"):
         "d7ad65bc6827618d2bd257fec4df04d4a12bb7913db2e515ae201821a19a2673",
     ("condition-detector-nr", "json"):
-        "ab6aab5042f37502d5445a1d03de0c00bb867e5981eba049520e2c783d791120",
+        "f98d7747fdadb276c5647d0ebe042a7405674982f3e116bf77fb14b5ffeef9f0",
     ("condition-detector-bucket", "csv"):
         "c9bdafe3e6837c76817200d52839222ef65d1c6ecbf66f9490769865b0657d7e",
     ("condition-detector-bucket", "json"):
-        "a1d9a891b1e0e8feca8a6a269cd8387a16e2cb0cb2c1df44c763686a6900d000",
+        "e0aeae1d0cf7f7d5e6105b7e42782a1f98563ff2f26c4d870fbc43a31eeeebdd",
 }
 
 
@@ -187,3 +189,15 @@ def test_golden_table_covers_every_command():
 def test_output_bytes_unchanged(name, fmt, tmp_path):
     got = output_sha256(COMMANDS[name], fmt, tmp_path / f"out.{fmt}")
     assert got == GOLDEN[(name, fmt)], (name, fmt)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_json_metadata_records_version_and_parsed_arguments(name, tmp_path):
+    argv = COMMANDS[name]
+    path = tmp_path / "out.json"
+    assert run(argv + ["--format", "json", "--out", str(path)]) == 0
+    metadata = json.loads(path.read_text())["metadata"]
+    parsed = vars(build_parser().parse_args(argv))
+    del parsed["format"], parsed["out"]
+    assert metadata["qoptkit_version"] == qoptkit.__version__
+    assert list(metadata["arguments"].items()) == list(parsed.items())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,13 +98,13 @@ def test_threshold_frozen():
 
 
 def test_threshold_minimum_at_five():
-    with pytest.warns(UserWarning):
-        values = {n: noon_threshold_efficiency(n) for n in range(2, 40)}
+    values = {n: noon_threshold_efficiency(n) for n in range(2, 40)}
     assert min(values, key=values.get) == 5
 
 
-def test_threshold_n2_warns():
-    with pytest.warns(UserWarning):
+def test_threshold_n2_is_one_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert noon_threshold_efficiency(2) == 1.0
     with pytest.raises(ValueError):
         noon_threshold_efficiency(1)
