@@ -11,8 +11,6 @@ from .conditioning import (
     apply_loss,
     condition_probe_bucket,
     condition_probe_number_resolving,
-    detector_count_distribution,
-    min_detectable_absorption,
     posterior_bucket,
     posterior_number_resolving,
 )
@@ -26,16 +24,10 @@ from .figures import (
 )
 from .limits import (
     PowerConstraint,
-    diffraction_limit,
-    dipole_scattering_fraction,
     heisenberg,
     loss_bound,
-    loss_transition_n0,
-    oct_coherence_length,
-    oct_sensitivity,
     qfi_phase,
     qnl,
-    signal_mode_amplitude,
     sql_sample,
     sql_total,
     squeezed_vacuum_crb,
@@ -73,20 +65,12 @@ from .squeezed import (
     squeezing_photon_cost,
 )
 from .states import (
-    BunchingClass,
-    EtpaCoherence,
-    GaussianProbe,
     PdcTwinBeam,
     PhotonDistribution,
-    bright_squeezed_g2,
-    classify_bunching,
     coherent_pmf,
     delta_distribution,
     distribution_moments,
-    etpa_cross_coherence,
     g2_self,
-    gaussian_mean_photons,
-    gaussian_photon_variance,
     geometric_n_max,
     pdc_marginal_pmf,
 )

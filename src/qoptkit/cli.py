@@ -241,9 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="y ~ N(2 sqrt(eta) alpha phi, eta V + 1 - eta); "
                     "phi_hat = y/(2 alpha sqrt(eta)); std vs "
                     "(1/(2 alpha)) sqrt(V + (1-eta)/eta).")
-    # alpha^2 is SimConfig's n_photons, which stops at MAX_PHOTONS
+    # alpha^2 is SimConfig's n_photons, which stops at MAX_PHOTONS; below 10
+    # the bright-probe gate alpha^2 >= 100 max(1, V) refuses every V
     s.add_argument("--alpha", default=10.0,
-                   type=flag((0.0, math.sqrt(MAX_PHOTONS), False, True)))
+                   type=flag((10.0, math.sqrt(MAX_PHOTONS), True, True)))
     s.add_argument("--v-sqz", type=flag(POSITIVE), default=1.0)
     s.add_argument("--eta", type=flag(HOMODYNE_EFFICIENCY), default=1.0)
     s.add_argument("--phase", type=flag(PHASE), default=0.0)

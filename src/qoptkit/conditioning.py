@@ -8,7 +8,7 @@ photon survives independently with probability eta, so
 Thinning composes multiplicatively in eta, maps the mean to eta*mean and the
 variance to eta^2 V + eta(1-eta)*mean, and leaves g2 unchanged. Thinned, a
 geometric with ratio eps stays geometric with eps' = eta eps / (1 - eps +
-eta eps), so the probe-side bucket pmf and the detector counts are closed form.
+eta eps), so the probe-side bucket pmf is closed form.
 
 The heralding scenario: a twin beam with perfectly correlated photon numbers,
 one beam monitored by a detector, the other sent to the sample. Loss before
@@ -123,13 +123,6 @@ def condition_probe_bucket(state: PdcTwinBeam,
     return PhotonDistribution((1.0 - eta) * geo + eta * np.append(0.0, geo[:-1]))
 
 
-def detector_count_distribution(state: PdcTwinBeam,
-                                detector_loss: LossChannel) -> PhotonDistribution:
-    """Counts at the monitoring detector: the thinned marginal, Geom(eps')."""
-    return pdc_marginal_pmf(
-        PdcTwinBeam(_thinned_ratio(state.epsilon, detector_loss.eta)))
-
-
 def posterior_number_resolving(state: PdcTwinBeam, n_det: int,
                                detector_loss: LossChannel) -> PhotonDistribution:
     """What an imperfect N_det count implies about the conjugate beam.
@@ -212,14 +205,3 @@ def posterior_bucket(state: PdcTwinBeam,
     click = np.zeros(n_max + 1)
     click[1:] = -np.expm1(np.arange(1, n_max + 1) * log_miss)
     return PhotonDistribution(pdc_marginal_pmf(state, n_max).pmf * click / p_click)
-
-
-def min_detectable_absorption(n_sig: float, heralded: bool) -> float:
-    """Smallest resolvable absorption coefficient at unit signal-to-noise.
-
-    A coherent probe resolves alpha ~ n_sig^(-1/2); an ideal heralded
-    single-photon stream removes the source shot noise and reaches
-    alpha ~ n_sig^(-1).
-    """
-    require_in(n_sig, "n_sig", 0.0)
-    return 1.0 / n_sig if heralded else 1.0 / math.sqrt(n_sig)

@@ -1,4 +1,4 @@
-"""Phase-precision limits and related single-number benchmarks.
+"""Phase-precision limits.
 
 All phase bounds are one-standard-deviation uncertainties for a single probe
 cycle. Two power-accounting conventions appear throughout and are easy to mix
@@ -20,7 +20,6 @@ entry that is non-finite or out of range.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
@@ -89,16 +88,6 @@ def loss_bound(n: float, eta: float,
     raise ValueError(f"unknown power constraint {constraint!r}")
 
 
-def loss_transition_n0(eta: float) -> float:
-    """Input power where the loss floor crosses the Heisenberg line.
-
-    Setting sqrt((1-eta)/eta)/sqrt(n0) = 1/n0 gives n0 = eta/(1-eta); below
-    it Heisenberg scaling is the binding constraint, above it loss is.
-    """
-    require_in(eta, "eta", 0.0, 1.0)
-    return eta / (1.0 - eta)
-
-
 def squeezed_vacuum_crb(n: float):
     """Cramer-Rao bound of a squeezed-vacuum probe with <n_sig> = n.
 
@@ -108,67 +97,3 @@ def squeezed_vacuum_crb(n: float):
     """
     n = require_in(n, "n", 0.0)
     return qfi_phase(2.0 * (n * n + n))[1]
-
-
-# --- classical-instrument benchmarks -------------------------------------
-
-
-def diffraction_limit(wavelength: float, numerical_aperture: float) -> float:
-    """Transverse two-point resolution x_min = lambda / (2 NA)."""
-    require_in(wavelength, "wavelength", 0.0)
-    require_in(numerical_aperture, "NA", 0.0, 1.5, hi_closed=True)
-    return wavelength / (2.0 * numerical_aperture)
-
-
-def oct_coherence_length(center_wavelength: float, bandwidth: float) -> float:
-    """Axial resolution of a Gaussian-spectrum interferometer.
-
-    l_c = (4 ln 2 / pi) * lambda^2 / dlambda for FWHM bandwidth dlambda.
-    """
-    require_in(center_wavelength, "center wavelength", 0.0)
-    require_in(bandwidth, "bandwidth", 0.0)
-    return (4.0 * math.log(2.0) / math.pi) * center_wavelength**2 / bandwidth
-
-
-def oct_sensitivity(n_sig: float) -> float:
-    """Shot-noise-limited SNR of a reflectivity measurement, S = n_sig / 4.
-
-    The smallest detectable reflectivity is 1/S.
-    """
-    require_in(n_sig, "n_sig", 0.0)
-    return n_sig / 4.0
-
-
-def dipole_scattering_fraction(radius: float, wavelength_in_medium: float,
-                               index_ratio: float,
-                               beam_waist: float) -> tuple[float, float]:
-    """Rayleigh cross-section of a small sphere and its beam-coverage fraction.
-
-    sigma = (8 pi / 3) k^4 a^6 ((m^2-1)/(m^2+2))^2 with k = 2 pi / lambda
-    (lambda measured inside the medium) and m the particle/medium index
-    ratio; the scattered fraction of a beam of waist w is sigma/(4 pi w^2).
-    Returns (sigma, fraction).
-    """
-    require_in(radius, "radius", 0.0)
-    require_in(wavelength_in_medium, "wavelength", 0.0)
-    require_in(index_ratio, "index ratio", 0.0)
-    require_in(beam_waist, "beam waist", 0.0)
-    k = 2.0 * math.pi / wavelength_in_medium
-    m2 = index_ratio * index_ratio
-    sigma = (8.0 * math.pi / 3.0) * k**4 * radius**6 * ((m2 - 1.0) / (m2 + 2.0)) ** 2
-    fraction = sigma / (4.0 * math.pi * beam_waist**2)
-    return sigma, fraction
-
-
-def signal_mode_amplitude(alpha: float, perturbation: float,
-                          norm_coeff: float) -> float:
-    """First-order amplitude scattered into the signal mode by a perturbation.
-
-    alpha_sig = alpha * p / N where N normalizes the mode derivative. The
-    perturbation is then read out exactly like a phase, with the uncertainty
-    mapping delta_p = |N| * delta_phi, so every phase bound in this module
-    applies to it directly.
-    """
-    if norm_coeff == 0.0:
-        raise ValueError("norm coefficient must be nonzero: alpha*p/N divides by it")
-    return alpha * perturbation / norm_coeff

@@ -2,20 +2,11 @@
 
 Everything here is a small immutable value type plus pure functions:
 photon-number distributions (Poisson for coherent states, geometric for the
-marginal of a down-conversion twin beam), Gaussian probe states described by
-their quadrature variances, and the second-order coherence diagnostics built
-on top of them.
-
-Conventions:
-  quadratures   X = a' + a,  Y = i(a' - a),  so vacuum variance is 1 and
-                V(X) * V(Y) >= 1 for any state (equality: pure Gaussian).
-  theta         angle between the ANTIsqueezed principal axis and the coherent
-                amplitude. theta=0 is the phase-squeezed orientation (optimal
-                for phase sensing), theta=pi/2 is amplitude squeezed.
+marginal of a down-conversion twin beam) and the second-order coherence
+diagnostic built on top of them.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -89,46 +80,15 @@ class PdcTwinBeam:
         return self.epsilon / (1.0 - self.epsilon)
 
 
-@dataclass(frozen=True)
-class GaussianProbe:
-    """Bright squeezed or coherent probe state.
-
-    alpha   coherent amplitude, real and >= 0 (a global phase carries no
-            observable content for anything computed here)
-    v_sqz   squeezed quadrature variance, vacuum units
-    v_anti  antisqueezed quadrature variance
-    theta   angle between the antisqueezed axis and alpha (see module notes)
-    """
-
-    alpha: float
-    v_sqz: float = 1.0
-    v_anti: float = 1.0
-    theta: float = 0.0
-
-    def __post_init__(self):
-        require_in(self.alpha, "alpha", 0.0, lo_closed=True)  # real amplitude
-        require_in(self.v_sqz, "v_sqz", 0.0)
-        require_in(self.v_anti, "v_anti", 0.0)
-        # Uncertainty product V(X)*V(Y) >= 1; small slack for pure states
-        # constructed as (v, 1/v) in floating point.
-        if self.v_sqz * self.v_anti < 1.0 - 1e-12:
-            raise ValueError(
-                f"v_sqz*v_anti = {self.v_sqz * self.v_anti} violates the "
-                "uncertainty product V(X)*V(Y) >= 1"
-            )
-
-    def amplitude_axis_variance(self) -> float:
-        """Quadrature variance along the coherent amplitude direction."""
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return self.v_anti * c * c + self.v_sqz * s * s
-
-
 # Binomial and Poisson probabilities by Loader's saddle-point form (C. Loader,
 # "Fast and accurate computation of binomial probabilities", 2000; the method
 # of R's dbinom and dpois). The log-probability is a sum of O(1) terms,
-# Stirling-series corrections and deviances, so nothing large cancels and the
-# relative error stays near machine precision at any n. A cumulative
-# log-factorial table loses about 1e-11 in total variation by n ~ 3600.
+# Stirling-series corrections and deviances, so nothing large cancels. The
+# relative error is not machine precision at any n, though: the roundings of
+# 1 - p and of the mean enter the deviances, so it grows like
+# |k - mean| * 2^-53, 1.1e-9 at k = 1e14 + 1e7, n = 1e15, p = 0.1. A
+# cumulative log-factorial table loses about 1e-11 in total variation by
+# n ~ 3600.
 
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 1..15; entry 0 is
 # a placeholder, since k = 0 and k = n take the edge forms below.
@@ -174,7 +134,10 @@ def binomial_pmf(k, n, p: float) -> np.ndarray:
     lc = (_stirlerr(ni) - _stirlerr(ki) - _stirlerr(ni - ki)
           - _bd0(ki, ni * p) - _bd0(ni - ki, ni * q))
     lf = _LOG_2PI + np.log(ki) + np.log((ni - ki) / ni)
-    edge = np.exp(n * np.where(k == 0, math.log1p(-p), math.log1p(-q)))
+    # q = 1 - p rounds to 1.0 for p <= 2^-54, where log1p(-q) would raise;
+    # log(p) is the same exponent there (not the p == 0 case: p(1) = n p)
+    log_p = math.log1p(-q) if q < 1.0 else math.log(p)
+    edge = np.exp(n * np.where(k == 0, math.log1p(-p), log_p))
     out = np.where(inner, np.exp(lc - 0.5 * lf), edge)
     return np.where((k < 0) | (k > n), 0.0, out)
 
@@ -235,78 +198,3 @@ def g2_self(d: PhotonDistribution) -> float:
     mean, var = distribution_moments(d)
     require_in(mean, "mean photon number", 0.0)  # g2 divides by <n>
     return 1.0 + var / mean**2 - 1.0 / mean
-
-
-class BunchingClass(enum.Enum):
-    NONCLASSICAL_ANTIBUNCHED = "nonclassical-antibunched"
-    CLASSICAL_ALLOWED = "classical-allowed"
-
-
-def classify_bunching(g2_zero: float) -> BunchingClass:
-    """Classical fields obey g2(0) >= 1; anything below is antibunched."""
-    require_in(g2_zero, "g2", 0.0, lo_closed=True)  # nonnegative moments
-    if g2_zero < 1.0:
-        return BunchingClass.NONCLASSICAL_ANTIBUNCHED
-    return BunchingClass.CLASSICAL_ALLOWED
-
-
-def gaussian_mean_photons(probe: GaussianProbe) -> float:
-    """<n> = |alpha|^2 + (V(X) + V(Y) - 2)/4.
-
-    The variance term is the population of the squeezed fluctuations; it is
-    independent of theta.
-    """
-    return probe.alpha**2 + (probe.v_sqz + probe.v_anti - 2.0) / 4.0
-
-
-def gaussian_photon_variance(probe: GaussianProbe) -> float:
-    """V(n) = |alpha|^2 [V(X)cos^2(th) + V(Y)sin^2(th)] + [V(X)^2 + V(Y)^2 - 2]/8
-
-    with V(X)=v_anti, V(Y)=v_sqz the principal-axis variances. For squeezed
-    vacuum (alpha=0, pure) this reduces to 2(<n>^2 + <n>).
-    """
-    quad = probe.amplitude_axis_variance()
-    return probe.alpha**2 * quad + (probe.v_sqz**2 + probe.v_anti**2 - 2.0) / 8.0
-
-
-def bright_squeezed_g2(probe: GaussianProbe) -> float:
-    """Bright-limit coherence g2 = 1 + (V_amp - 1)/<n>.
-
-    V_amp is the quadrature variance along the amplitude axis, so amplitude
-    squeezed light (theta=pi/2, v_sqz<1) is antibunched. Requires the bright
-    gate |alpha|^2 >= 100*v_anti; the expansion drops terms of relative order
-    V/|alpha|^2.
-    """
-    if probe.alpha**2 < 100.0 * probe.v_anti:
-        raise ValueError(
-            "bright-limit g2 needs |alpha|^2 >= 100*v_anti "
-            f"(got |alpha|^2 = {probe.alpha**2}, v_anti = {probe.v_anti})"
-        )
-    return 1.0 + (probe.amplitude_axis_variance() - 1.0) / gaussian_mean_photons(probe)
-
-
-@dataclass(frozen=True)
-class EtpaCoherence:
-    """Cross-coherence of a weak twin beam and its classical-bound check."""
-
-    g2_cross: float
-    classical_bound: float
-    violates_cauchy_schwarz: bool
-
-
-def etpa_cross_coherence(state: PdcTwinBeam) -> EtpaCoherence:
-    """Cross-beam coherence g2_12 = 1/eps of the truncated pair state.
-
-    Valid for eps <= 0.1 where the two-photon-pair amplitude is negligible
-    and the state is well approximated by sqrt(1-eps)|00> + sqrt(eps)|11>.
-    The classical Cauchy-Schwarz bound g2_12 <= sqrt(g2_11 * g2_22) is
-    evaluated from the marginals of the same truncated state.
-    """
-    eps = state.epsilon
-    # g2_12 = 1/eps diverges at 0; the two-term truncation fails above 0.1
-    require_in(eps, "epsilon", 0.0, 0.1, hi_closed=True)
-    g12 = 1.0 / eps
-    marginal = PhotonDistribution(np.array([1.0 - eps, eps]))
-    g11 = g2_self(marginal)
-    bound = math.sqrt(g11 * g11)  # both marginals identical
-    return EtpaCoherence(g12, bound, g12 > bound)

@@ -215,12 +215,6 @@ def total_variation(p, q) -> float:
     return 0.5 * sum(abs(a - b) for a, b in zip(p, q))
 
 
-def moments(pmf) -> tuple[float, float]:
-    mean = sum(n * p for n, p in enumerate(pmf))
-    second = sum(n * n * p for n, p in enumerate(pmf))
-    return mean, second - mean * mean
-
-
 # -- optimizers ------------------------------------------------------------
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -269,23 +263,6 @@ def noon_scan_best(eta: float, n_max: int = 200) -> tuple[int, float]:
 
 
 # -- Monte-Carlo oracles ---------------------------------------------------
-
-
-def wigner_photon_variance(alpha: float, v_sqz: float, v_anti: float,
-                           theta: float, samples: int,
-                           seed: int) -> float:
-    """Sampled photon-number variance of a Gaussian state.
-
-    Classical sampling of the quadrature distribution overshoots the quantum
-    number variance by exactly 1/4 (symmetric-ordering correction), which is
-    subtracted here. Principal-axis frame: the displacement 2*alpha sits at
-    angle theta from the antisqueezed axis.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.normal(2.0 * alpha * math.cos(theta), math.sqrt(v_anti), samples)
-    y = rng.normal(-2.0 * alpha * math.sin(theta), math.sqrt(v_sqz), samples)
-    n_cl = (x * x + y * y - 2.0) / 4.0
-    return float(np.var(n_cl)) - 0.25
 
 
 def noon_postselected_precision(n: int, eta: float, trials: int, repeats: int,

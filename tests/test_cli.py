@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import oracles
 from qoptkit import parse_csv
 from qoptkit.cli import OUT_DIR_ENV, run
 
@@ -124,6 +125,16 @@ def test_condition_roundtrip(capsys):
     assert rows[1, 1] == pytest.approx(0.275, abs=1e-3)
 
 
+def test_condition_at_tiny_efficiency(capsys):
+    # 1 - eta rounds to 1.0, so p(n_det) = eta^n_det needs the log(eta) form
+    header, rows = run_csv(capsys, ["condition", "--side", "probe",
+                                    "--detector", "number-resolving",
+                                    "--eta", "1e-17", "--n-det", "5"])
+    assert header == ["n_photons", "pmf_eta_1e-17"]
+    exact = oracles.exact_binomial(5, 1e-17)
+    assert rows[:, 1] == pytest.approx([float(e) for e in exact], rel=1e-12)
+
+
 def test_simulate_hom_exact_zero(capsys):
     header, rows = run_csv(capsys, ["simulate", "hom"])
     assert dict(zip(header, rows[0]))["cross_coincidence_rate"] == 0.0
@@ -139,8 +150,11 @@ def test_validation_exit_codes(capsys):
     assert run(["squeezed", "--n-sig", "0.5", "--v-sqz", "0.1",
                 "--eta", "0.9"]) == 2                # infeasible budget
     capsys.readouterr()
-    assert run(["simulate", "homodyne", "--alpha", "2"]) == 2  # bright gate
-    capsys.readouterr()
+    assert run(["simulate", "homodyne", "--alpha", "2"]) == 2  # below 10
+    assert "argument --alpha" in capsys.readouterr().err
+    assert run(["simulate", "homodyne", "--alpha", "10",
+                "--v-sqz", "2"]) == 2                # bright gate
+    assert "bright-probe gate" in capsys.readouterr().err
     assert run(["figure", "fig-limits", "--epsilon", "0.3"]) == 2
     err = capsys.readouterr().err
     assert "fig-conditional" in err

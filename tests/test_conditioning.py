@@ -16,10 +16,8 @@ from qoptkit import (
     condition_probe_bucket,
     condition_probe_number_resolving,
     delta_distribution,
-    detector_count_distribution,
     distribution_moments,
     g2_self,
-    min_detectable_absorption,
     pdc_marginal_pmf,
     posterior_bucket,
     posterior_number_resolving,
@@ -121,13 +119,6 @@ def test_probe_bucket_lossless_is_shifted_geometric():
         assert got.pmf[n] == pytest.approx(0.5**n, rel=1e-12)
 
 
-def test_detector_counts_are_thinned_marginal():
-    state = PdcTwinBeam(0.5)
-    got = detector_count_distribution(state, LossChannel(0.4))
-    want = oracles.thin_pmf(oracles.geometric_pmf_list(0.5), 0.4)
-    assert oracles.total_variation(got.pmf, want) < 1e-12
-
-
 def test_posterior_number_resolving_against_enumeration():
     for eta in (0.1, 0.4, 0.7, 1.0):
         for n_det in (0, 1, 3):
@@ -168,9 +159,9 @@ def test_posterior_bucket_direct_form():
     state, eta = PdcTwinBeam(0.5), 0.4
     got = posterior_bucket(state, LossChannel(eta))
     prior = pdc_marginal_pmf(state)
-    counts = detector_count_distribution(state, LossChannel(eta))
+    p_click = 1.0 - oracles.thin_pmf(oracles.geometric_pmf_list(0.5), eta)[0]
     n = prior.support
-    direct = prior.pmf * (1.0 - (1.0 - eta) ** n) / (1.0 - counts.pmf[0])
+    direct = prior.pmf * (1.0 - (1.0 - eta) ** n) / p_click
     assert oracles.total_variation(got.pmf, direct) < 1e-11
 
 
@@ -179,18 +170,6 @@ def test_posterior_bucket_errors():
         posterior_bucket(PdcTwinBeam(0.0), LossChannel(0.5))
     with pytest.raises(ValueError):
         posterior_bucket(PdcTwinBeam(0.5), LossChannel(0.0))
-
-
-def test_min_detectable_absorption_scalings():
-    assert min_detectable_absorption(1e4, heralded=True) == 1e-4
-    assert min_detectable_absorption(1e4, heralded=False) == 1e-2
-    # heralding always wins for n > 1, and quadratically so
-    for n in (10.0, 1e3, 1e6):
-        ratio = min_detectable_absorption(n, True) / \
-            min_detectable_absorption(n, False)
-        assert ratio == pytest.approx(1.0 / math.sqrt(n), rel=1e-12)
-    with pytest.raises(ValueError):
-        min_detectable_absorption(0.0, True)
 
 
 # -- the 1e-12 total-variation promise at the edges of the domain ------------
@@ -273,17 +252,13 @@ def test_thinned_geometrics_against_exact_laws(eps, eta):
     got = condition_probe_bucket(PdcTwinBeam(eps), LossChannel(eta))
     exact = oracles.exact_probe_bucket(eps, eta, got.n_max + 1)
     assert oracles.exact_tv(got.pmf, exact) <= 1e-12
-    got = detector_count_distribution(PdcTwinBeam(eps), LossChannel(eta))
-    exact = oracles.exact_thinned_geometric(eps, eta, got.n_max + 1)
-    assert oracles.exact_tv(got.pmf, exact) <= 1e-12
 
 
 def test_geometric_supports_refuse_oversize():
     # eps = 0.999999 puts the 1e-16 point of the prior at 36.8 M photons
     state = PdcTwinBeam(0.999999)
     for build in (lambda: pdc_marginal_pmf(state),
-                  lambda: condition_probe_bucket(state, LossChannel(1.0)),
-                  lambda: detector_count_distribution(state, LossChannel(0.5))):
+                  lambda: condition_probe_bucket(state, LossChannel(1.0))):
         with pytest.raises(ValueError, match="support points"):
             build()
     # a posterior whose own support fits still works past the prior's cap

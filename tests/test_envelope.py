@@ -130,6 +130,7 @@ EXTREMES = [
     (["simulate", "homodyne", "--trials", "10000000000"],
      f"argument --trials: must be an integer in [100, {MAX_TRIALS}]"),
     (["simulate", "homodyne", "--alpha", "1e200"], "argument --alpha"),
+    (["simulate", "homodyne", "--alpha", "1e-300"], "argument --alpha"),
     (["simulate", "mz", "--n0", "1e300"], "argument --n0"),
     (["simulate", "mz", "--n0", "inf"], "argument --n0"),
     (["simulate", "mz", "--phase", "nan"], "argument --phase"),

@@ -5,16 +5,10 @@ import pytest
 
 from qoptkit import (
     PowerConstraint,
-    diffraction_limit,
-    dipole_scattering_fraction,
     heisenberg,
     loss_bound,
-    loss_transition_n0,
-    oct_coherence_length,
-    oct_sensitivity,
     qfi_phase,
     qnl,
-    signal_mode_amplitude,
     sql_sample,
     sql_total,
     squeezed_vacuum_crb,
@@ -78,10 +72,9 @@ def test_loss_bound_rejects_endpoints():
 def test_loss_transition_crossing():
     # at n0 = eta/(1-eta) the loss floor meets the Heisenberg line
     for eta in (0.6, 0.75, 0.9, 0.99):
-        n0 = loss_transition_n0(eta)
+        n0 = eta / (1.0 - eta)
         assert math.isclose(loss_bound(n0, eta),
                             heisenberg(n0), rel_tol=1e-12)
-    assert loss_transition_n0(0.9) == pytest.approx(9.0, rel=1e-15)
 
 
 def test_qfi_single_source_of_truth():
@@ -125,7 +118,7 @@ def test_scaling_with_photon_number():
 
 
 def test_positive_input_validation():
-    for fn in (sql_total, sql_sample, oct_sensitivity):
+    for fn in (sql_total, sql_sample):
         with pytest.raises(ValueError):
             fn(0.0)
         with pytest.raises(ValueError):
@@ -134,64 +127,3 @@ def test_positive_input_validation():
         qnl(10.0, 0.0)
     with pytest.raises(ValueError):
         qfi_phase(0.0)
-    with pytest.raises(ValueError):
-        loss_transition_n0(1.0)
-
-
-def test_diffraction_limit():
-    assert diffraction_limit(400e-9, 1.0) == pytest.approx(200e-9, rel=1e-15)
-    assert diffraction_limit(1064e-9, 0.532) == pytest.approx(1000e-9, rel=1e-15)
-    assert diffraction_limit(750e-9, 1.25) == pytest.approx(300e-9, rel=1e-15)
-    with pytest.raises(ValueError):
-        diffraction_limit(500e-9, 0.0)
-    with pytest.raises(ValueError):
-        diffraction_limit(500e-9, 2.0)
-
-
-def test_oct_coherence_length():
-    assert oct_coherence_length(800e-9, 28e-9) == pytest.approx(20.2e-6,
-                                                                abs=0.1e-6)
-    assert oct_coherence_length(800e-9, 300e-9) == pytest.approx(1.88e-6,
-                                                                 abs=0.01e-6)
-    # huge bandwidth: l_c -> 1.765 * lambda
-    lam = 800e-9
-    assert oct_coherence_length(lam, lam / 2.0) == pytest.approx(
-        (8.0 * math.log(2.0) / math.pi) * lam, rel=1e-12)
-
-
-def test_oct_sensitivity():
-    assert oct_sensitivity(4e6) == 1e6
-    assert oct_sensitivity(4.0) == 1.0
-    assert oct_sensitivity(4e10) == 1e10
-
-
-def test_dipole_scattering_fraction():
-    # silica bead (a = 150 nm) in water, 750 nm vacuum light focussed to 1 um
-    n_water = 1.33
-    sigma, frac = dipole_scattering_fraction(
-        150e-9, 750e-9 / n_water, 1.425 / n_water, 1e-6)
-    assert sigma == pytest.approx(3e-15, rel=0.20)
-    assert frac == pytest.approx(3e-4, rel=0.25)
-    # independent arithmetic route
-    k = 2.0 * math.pi * n_water / 750e-9
-    m2 = (1.425 / n_water) ** 2
-    expect = 8.0 * math.pi / 3.0 * k**4 * (150e-9) ** 6 \
-        * ((m2 - 1.0) / (m2 + 2.0)) ** 2
-    assert sigma == pytest.approx(expect, rel=1e-12)
-    assert frac == pytest.approx(sigma / (4.0 * math.pi * 1e-12), rel=1e-12)
-
-
-def test_dipole_index_matched_particle():
-    sigma, frac = dipole_scattering_fraction(100e-9, 600e-9, 1.0, 1e-6)
-    assert sigma == 0.0 and frac == 0.0
-    with pytest.raises(ValueError):
-        dipole_scattering_fraction(-1e-9, 600e-9, 1.1, 1e-6)
-
-
-def test_signal_mode_amplitude():
-    assert signal_mode_amplitude(10.0, 0.0, 2.0) == 0.0
-    assert signal_mode_amplitude(10.0, 0.1, 1.0) == pytest.approx(1.0,
-                                                                  rel=1e-15)
-    assert signal_mode_amplitude(2.0, -0.5, 4.0) == -0.25
-    with pytest.raises(ValueError):
-        signal_mode_amplitude(1.0, 0.1, 0.0)
