@@ -10,6 +10,11 @@ directory). A relative --out path is resolved against $QOPTKIT_OUT_DIR when
 that is set. Without --out, the dataset goes to standard output; all
 diagnostics go to standard error.
 
+A qoptkit process runs numpy's BLAS on one thread unless OPENBLAS_NUM_THREADS
+is already set: this module sets that default before it imports numpy, which
+`import qoptkit` does not load (the package imports each submodule on first
+use).
+
 Exit status: 0 success, 2 flag/precondition validation failure (a flag
 outside its domain is refused at parse time, by name), 1 runtime failure.
 """
@@ -20,6 +25,8 @@ import math
 import os
 import sys
 
+# no command's BLAS work is big enough to pay for OpenBLAS's thread pool
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read by `import numpy`
 import numpy as np
 
 from . import __version__, figures, limits, montecarlo, noon, squeezed
@@ -301,6 +308,9 @@ def _cmd_noon(args) -> FigureDataset:
                                {"threshold_efficiency": value})
     if args.optimal:
         _require(args, ["eta"], "--optimal")
+        if args.eta == 1.0:
+            raise ValueError("argument --eta: --optimal needs eta < 1; a "
+                             "lossless channel has no finite optimal N")
         n_opt, enh, root = noon.noon_optimal_n(args.eta)
         return _scalar_dataset(
             "noon-optimal",
@@ -315,6 +325,12 @@ def _cmd_noon(args) -> FigureDataset:
         rate = noon.noon_flux_requirement(args.n, args.target_rate, constraint)
         return _scalar_dataset("noon-flux", {"trials_per_second": rate})
     _require(args, ["n", "eta", "n-sig"], "noon report")
+    # the report's sqrt(eta^-N) overflows past N ln(1/eta) = 2 ln(max float)
+    edge = 2.0 * math.log(sys.float_info.max)
+    if args.n * -math.log(args.eta) >= edge:
+        raise ValueError(f"--n {args.n} and --eta {args.eta!r} put sqrt(eta^-N) "
+                         f"past the largest float: the report needs "
+                         f"N ln(1/eta) < {edge:.6g}")
     report = noon.noon_repeated(args.n, args.eta, args.n_sig)
     return _report_dataset("noon-loss-report", report)
 

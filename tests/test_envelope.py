@@ -10,6 +10,7 @@ import contextlib
 import io
 import math
 import resource
+import sys
 import tracemalloc
 
 import numpy as np
@@ -167,6 +168,12 @@ EXTREMES = [
      "argument --alpha"),
     (["noon", "--curve", "--eta", "0.5", "--n-sig-min", "1e-320",
       "--n-sig-max", "1"], "argument --n-sig-min"),
+    # in the flag's domain, but the lossless channel has no finite optimum
+    (["noon", "--optimal", "--eta", "1"],
+     "argument --eta: --optimal needs eta < 1"),
+    # each flag is in its domain; together they overflow the report
+    (["noon", "--n", "171", "--eta", "1e-300", "--n-sig", "29200"],
+     "--n 171 and --eta 1e-300 put sqrt(eta^-N) past the largest float"),
 ]
 
 
@@ -183,6 +190,24 @@ def test_extreme_input_refused_before_allocating(argv, names):
     assert code == 2
     assert err.count("\n") == 1 and names in err
     assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("n", (3, 1000))
+def test_noon_report_edge_where_sqrt_eta_pow_minus_n_overflows(n):
+    # the least eta with N ln(1/eta) below 2 ln(max float) is taken, with a
+    # finite report; the next float down is refused, naming both flags
+    edge = 2.0 * math.log(sys.float_info.max)
+    eta = math.exp(-edge / n)
+    while n * -math.log(eta) < edge:
+        eta = math.nextafter(eta, 0.0)
+    while n * -math.log(eta) >= edge:
+        eta = math.nextafter(eta, 1.0)
+    argv = ["noon", "--n", str(n), "--n-sig", "1e6", "--eta"]
+    code, out, _ = run_captured(argv + [repr(eta)])
+    assert code == 0 and np.all(np.isfinite(parse_csv(out)[1]))
+    code, _, err = run_captured(argv + [repr(math.nextafter(eta, 0.0))])
+    assert code == 2 and err.count("\n") == 1
+    assert f"--n {n} and --eta " in err and "N ln(1/eta) < 1419.57" in err
 
 
 @pytest.mark.parametrize("argv, names", [
