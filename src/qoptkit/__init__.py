@@ -20,8 +20,9 @@ _EXPORTS = {name: module for module, names in {
                      "condition_probe_number_resolving", "posterior_bucket",
                      "posterior_number_resolving"),
     "dataset": ("Axis", "FigureDataset", "parse_csv", "write_text_atomic"),
-    "figures": ("fig_compare", "fig_conditional", "fig_limits",
-                "fig_noon_loss", "fig_squeezed_loss"),
+    "figures": ("default_eta_grid", "fig_conditional", "fig_limits",
+                "fig_noon_loss", "fig_squeezed_loss", "noon_precision_curve",
+                "noon_vs_squeezed_grid"),
     "limits": ("PowerConstraint", "heisenberg", "loss_bound", "qfi_phase",
                "qnl", "sql_sample", "sql_total", "squeezed_vacuum_crb"),
     "montecarlo": ("DEFAULT_SEED", "SimConfig", "SimReport",
@@ -29,13 +30,11 @@ _EXPORTS = {name: module for module, names in {
                    "simulate_hom", "simulate_homodyne_squeezed",
                    "simulate_noon_fringe"),
     "noon": ("NoonLossReport", "noon_best_precision", "noon_enhancement",
-             "noon_flux_requirement", "noon_optimal_n",
-             "noon_precision_curve", "noon_repeated", "noon_single_shot",
-             "noon_threshold_efficiency"),
-    "squeezed": ("SqueezedBudgetReport", "default_eta_grid",
-                 "default_n_sig_grid", "noon_vs_squeezed_grid",
-                 "optimal_squeezing", "optimal_v_sqz", "squeezed_precision",
-                 "squeezed_precision_budget", "squeezing_photon_cost"),
+             "noon_flux_requirement", "noon_optimal_n", "noon_repeated",
+             "noon_single_shot", "noon_threshold_efficiency"),
+    "squeezed": ("SqueezedBudgetReport", "optimal_squeezing", "optimal_v_sqz",
+                 "squeezed_precision", "squeezed_precision_budget",
+                 "squeezing_photon_cost"),
     "states": ("PdcTwinBeam", "PhotonDistribution", "coherent_pmf",
                "delta_distribution", "distribution_moments", "g2_self",
                "geometric_n_max", "pdc_marginal_pmf"),

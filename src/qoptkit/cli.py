@@ -76,10 +76,23 @@ def _emit(dataset: FigureDataset, args) -> None:
         write_text_atomic(path, text)
 
 
+def _given(args, names: list[str]) -> str:
+    return " ".join(f"--{n} {getattr(args, n.replace('-', '_'))!r}"
+                    for n in names)
+
+
+def _ascending(grid: np.ndarray, args, axis: str) -> np.ndarray:
+    if not np.all(np.diff(grid) > 0):
+        flags = _given(args, [f"{axis}-min", f"{axis}-max", f"{axis}-points"])
+        raise ValueError(f"{flags} give no strictly increasing grid: max must "
+                         "exceed min by enough for that many distinct points")
+    return grid
+
+
 def _n_sig_grid(args) -> np.ndarray:
-    require_in(args.n_sig_max, "--n-sig-max", args.n_sig_min)
-    return np.logspace(math.log10(args.n_sig_min), math.log10(args.n_sig_max),
-                       args.n_sig_points)
+    return _ascending(np.logspace(math.log10(args.n_sig_min),
+                                  math.log10(args.n_sig_max),
+                                  args.n_sig_points), args, "n-sig")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -317,7 +330,7 @@ def _cmd_noon(args) -> FigureDataset:
             {"n_opt": n_opt, "enhancement": enh, "stationarity_root": root})
     if args.curve:
         _require(args, ["eta"], "--curve")
-        return noon.noon_precision_curve(args.eta, _n_sig_grid(args))
+        return figures.noon_precision_curve(args.eta, _n_sig_grid(args))
     if args.flux:
         _require(args, ["n", "target-rate"], "--flux")
         constraint = (limits.PowerConstraint.TOTAL if args.total_power
@@ -335,26 +348,37 @@ def _cmd_noon(args) -> FigureDataset:
     return _report_dataset("noon-loss-report", report)
 
 
+def _finite(dphi, args, names: list[str]) -> None:
+    if not math.isfinite(dphi):
+        raise ValueError(f"{_given(args, names)} put delta_phi past the "
+                         "largest float")
+
+
 def _cmd_squeezed(args) -> FigureDataset:
     if args.alpha is not None:
         _require(args, ["v-sqz"], "--alpha mode")
         dphi = squeezed.squeezed_precision(args.alpha, args.v_sqz, args.eta)
+        _finite(dphi, args, ["alpha", "v-sqz", "eta"])
         return _scalar_dataset("squeezed-precision", {"delta_phi": dphi})
     _require(args, ["n-sig"], "squeezed")
     if args.v_sqz is not None:
+        if args.v_sqz > 1.0:
+            raise ValueError("argument --v-sqz: a budget (--n-sig) takes "
+                             f"v_sqz in (0, 1], got {args.v_sqz!r}")
         dphi = squeezed.squeezed_precision_budget(args.n_sig, args.v_sqz,
                                                   args.eta)
+        _finite(dphi, args, ["n-sig", "v-sqz", "eta"])
         return _scalar_dataset("squeezed-budget-precision",
                                {"delta_phi": dphi})
     report = squeezed.optimal_squeezing(args.n_sig, args.eta)
+    _finite(report.delta_phi, args, ["n-sig", "eta"])
     return _report_dataset("squeezed-optimal-report", report)
 
 
 def _cmd_compare(args) -> FigureDataset:
-    require_in(args.eta_max, "--eta-max", args.eta_min, 1.0)
-    eta_grid = squeezed.default_eta_grid(args.eta_points, args.eta_min,
-                                         args.eta_max)
-    return squeezed.noon_vs_squeezed_grid(eta_grid, _n_sig_grid(args))
+    eta_grid = _ascending(figures.default_eta_grid(
+        args.eta_points, args.eta_min, args.eta_max), args, "eta")
+    return figures.noon_vs_squeezed_grid(eta_grid, _n_sig_grid(args))
 
 
 def _cmd_simulate(args) -> FigureDataset:

@@ -103,11 +103,6 @@ def condition_probe_number_resolving(n_det: int,
     return PhotonDistribution(binomial_pmf(k, n_det, probe_loss.eta))
 
 
-def _thinned_ratio(epsilon: float, eta: float) -> float:
-    # a geometric with ratio eps thinned by eta is geometric in eps'
-    return eta * epsilon / (1.0 - epsilon + eta * epsilon)
-
-
 def condition_probe_bucket(state: PdcTwinBeam,
                            probe_loss: LossChannel) -> PhotonDistribution:
     """Probe statistics after an ideal bucket click, with loss before the sample.
@@ -117,8 +112,8 @@ def condition_probe_bucket(state: PdcTwinBeam,
     p'(k) = (1-eps') eps'^(k-1) ((1-eta) eps' + eta), on support
     geometric_n_max(eps') + 1, which leaves out less than TAIL_MASS.
     """
-    eta = probe_loss.eta
-    e2 = _thinned_ratio(state.epsilon, eta)
+    eps, eta = state.epsilon, probe_loss.eta
+    e2 = eta * eps / (1.0 - eps + eta * eps)  # eps' of the module docstring
     geo = pdc_marginal_pmf(PdcTwinBeam(e2), geometric_n_max(e2) + 1).pmf
     return PhotonDistribution((1.0 - eta) * geo + eta * np.append(0.0, geo[:-1]))
 
@@ -198,10 +193,13 @@ def posterior_bucket(state: PdcTwinBeam,
             f"bucket click impossible: eps = {eps}, eta = {eta} gives "
             "P(N_det >= 1) = 0"
         )
-    p_click = _thinned_ratio(eps, eta)  # P(N_det >= 1) at eta
-    n_max = check_size(
-        math.ceil(math.log(TAIL_MASS * p_click) / math.log(eps))) - 1
+    # P(click) = eps eta/keep underflows at tiny eps, so it enters by its
+    # factors: p(N | click) = (1-eps) keep eps^(N-1) (1 - (1-eta)^N)/eta
+    keep = 1.0 - eps + eps * eta
+    n_max = check_size(math.ceil((math.log(TAIL_MASS) + math.log(eps)
+                                  + math.log(eta / keep)) / math.log(eps))) - 1
+    n = np.arange(1, n_max + 1)
     log_miss = math.log1p(-eta) if eta < 1.0 else -math.inf
-    click = np.zeros(n_max + 1)
-    click[1:] = -np.expm1(np.arange(1, n_max + 1) * log_miss)
-    return PhotonDistribution(pdc_marginal_pmf(state, n_max).pmf * click / p_click)
+    click = -np.expm1(n * log_miss) / eta  # divided first: no underflow
+    pmf = (1.0 - eps) * keep * eps ** (n - 1) * click
+    return PhotonDistribution(np.append(0.0, pmf))

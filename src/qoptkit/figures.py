@@ -1,26 +1,24 @@
-"""Assembles the analysis modules into ready-to-plot FigureDataset tables.
-
+"""Every table of closed forms, as a ready-to-plot FigureDataset: the named
+figures, the NOON best-precision curve and the NOON vs squeezed ratio grid.
 Nothing here renders anything; these functions only evaluate the closed
 forms over documented default grids (all overridable, all echoed in
 metadata) so the datasets can be regenerated bit-identically.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import conditioning as cond
 from .conditioning import DetectorKind, LossChannel
 from .dataset import Axis, FigureDataset
-from .domain import EFFICIENCY, TRANSMISSION, require_grid
-from .limits import (
-    PowerConstraint,
-    heisenberg,
-    loss_bound,
-    sql_sample,
-    squeezed_vacuum_crb,
-)
-from .noon import noon_optimal_n
-from .squeezed import noon_vs_squeezed_grid, optimal_squeezing
+from .domain import (COMPARE_N_SIG, EFFICIENCY, MAX_CELLS, TRANSMISSION,
+                     check_size, require_grid, require_in)
+from .limits import (PowerConstraint, heisenberg, loss_bound, sql_sample,
+                     squeezed_vacuum_crb)
+from .noon import noon_best_precision, noon_optimal_n
+from .squeezed import optimal_squeezing
 from .states import PdcTwinBeam
 
 PROBE = "probe"
@@ -133,9 +131,86 @@ def fig_squeezed_loss(eta_grid=None,
     )
 
 
-def fig_compare(eta_grid=None, n_sig_grid=None) -> FigureDataset:
-    """Optimal NOON / optimal squeezed precision ratio heatmap."""
-    return noon_vs_squeezed_grid(eta_grid, n_sig_grid)
+def noon_precision_curve(eta: float, n_sig_grid) -> FigureDataset:
+    """Best NOON precision vs sample exposure, with its reference lines.
+
+    Columns: delta_phi and n_state (the N in play) from noon_best_precision,
+    and the sql_sample and loss_bound references; the loss reference is 0
+    at eta=1.
+    """
+    require_in(eta, "eta", *EFFICIENCY)
+    grid = require_grid(n_sig_grid, "n_sig grid", 0.0)
+    require_in(np.diff(grid), "n_sig grid steps", 0.0)  # strictly ascending
+    if eta < 1.0:
+        n_opt, _, root = noon_optimal_n(eta)
+    else:
+        n_opt, root = math.inf, math.inf  # lossless: bigger N always helps
+    dphi, n_state = noon_best_precision(eta, grid, n_opt)
+    kink = n_opt / 2.0
+    return FigureDataset(
+        figure_id="noon-precision-curve",
+        axes=(Axis("n_sig", grid, "log"),),
+        columns={
+            "delta_phi": dphi,
+            "n_state": n_state,
+            "sql_sample": sql_sample(grid),
+            "loss_bound": loss_bound(grid, eta, PowerConstraint.SAMPLE),
+        },
+        metadata={
+            "eta": eta,
+            "n_opt": None if math.isinf(n_opt) else int(n_opt),
+            "stationarity_root": None if math.isinf(root) else root,
+            "kink_n_sig": None if math.isinf(kink) else kink,
+        },
+    )
+
+
+def default_eta_grid(n_points: int = 200, eta_min: float = 0.5,
+                     eta_max: float = 0.999) -> np.ndarray:
+    """eta in [eta_min, eta_max], log-spaced in the loss 1-eta, ascending."""
+    return 1.0 - np.logspace(math.log10(1.0 - eta_min),
+                             math.log10(1.0 - eta_max), n_points)
+
+
+def noon_vs_squeezed_grid(eta_grid=None, n_sig_grid=None) -> FigureDataset:
+    """Ratio of optimal-NOON to optimal-squeezed precision on a 2-d grid.
+
+    Ratio > 1 means the squeezed strategy is the more precise one at that
+    (eta, n_sig). Metadata records the ratio extremes over the grid and where
+    they occur. Default grids: default_eta_grid(), n_sig 200 log-spaced in
+    [1, 100].
+    """
+    eta_grid = require_grid(
+        default_eta_grid() if eta_grid is None else eta_grid,
+        "eta grid", 0.0, 1.0)
+    n_sig_grid = require_grid(
+        np.logspace(0.0, 2.0, 200) if n_sig_grid is None else n_sig_grid,
+        "n_sig grid", *COMPARE_N_SIG)
+    check_size(len(eta_grid) * len(n_sig_grid), MAX_CELLS, "grid cells")
+    eta, n_sig = eta_grid[:, None], n_sig_grid[None, :]
+    n_opt, _, _ = noon_optimal_n(eta)
+    noon, _ = noon_best_precision(eta, n_sig, n_opt)
+    flat = (noon / optimal_squeezing(n_sig, eta).delta_phi).reshape(-1)
+    i_min, i_max = int(np.argmin(flat)), int(np.argmax(flat))
+
+    def at(k):  # the grid point of flat index k
+        i, j = divmod(k, len(n_sig_grid))
+        return {"eta": float(eta_grid[i]), "n_sig": float(n_sig_grid[j])}
+
+    return FigureDataset(
+        figure_id="noon-vs-squeezed-ratio",
+        axes=(
+            Axis("eta", eta_grid, "log"),
+            Axis("n_sig", n_sig_grid, "log"),
+        ),
+        columns={"ratio": flat},
+        metadata={
+            "ratio_min": float(flat[i_min]),
+            "ratio_max": float(flat[i_max]),
+            "ratio_min_at": at(i_min),
+            "ratio_max_at": at(i_max),
+        },
+    )
 
 
 def _panel_pmf(side: str, detector: DetectorKind, state: PdcTwinBeam,
@@ -197,6 +272,6 @@ FIGURES = {
     "fig-limits": fig_limits,
     "fig-noon-loss": fig_noon_loss,
     "fig-squeezed-loss": fig_squeezed_loss,
-    "fig-compare": fig_compare,
+    "fig-compare": noon_vs_squeezed_grid,
     "fig-conditional": fig_conditional,
 }

@@ -39,10 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Axis, FigureDataset
-from .domain import (EFFICIENCY, NOON_N, TARGET_RATE, require_grid,
-                     require_in, require_int)
-from .limits import PowerConstraint, loss_bound, sql_sample
+from .domain import EFFICIENCY, NOON_N, TARGET_RATE, require_in, require_int
+from .limits import PowerConstraint
 
 N_SEARCH_MAX = 200  # caps n_opt; binds for eta > e^(x*/200), about 0.99363
 # x* = -(1 + W(1/e)), the root of x + e^x + 1 = 0
@@ -191,37 +189,3 @@ def noon_flux_requirement(n: float, target_sql_n_sig: float,
     if constraint is PowerConstraint.TOTAL:
         return target_sql_n_sig / (n * n)
     raise ValueError(f"unknown power constraint {constraint!r}")
-
-
-def noon_precision_curve(eta: float, n_sig_grid) -> FigureDataset:
-    """Best NOON precision vs sample exposure, with its reference lines.
-
-    Columns: delta_phi and n_state (the N in play) from noon_best_precision,
-    and the sql_sample and loss_bound references; the loss reference is 0
-    at eta=1.
-    """
-    require_in(eta, "eta", *EFFICIENCY)
-    grid = require_grid(n_sig_grid, "n_sig grid", 0.0)
-    require_in(np.diff(grid), "n_sig grid steps", 0.0)  # strictly ascending
-    if eta < 1.0:
-        n_opt, _, root = noon_optimal_n(eta)
-    else:
-        n_opt, root = math.inf, math.inf  # lossless: bigger N always helps
-    dphi, n_state = noon_best_precision(eta, grid, n_opt)
-    kink = n_opt / 2.0
-    return FigureDataset(
-        figure_id="noon-precision-curve",
-        axes=(Axis("n_sig", grid, "log"),),
-        columns={
-            "delta_phi": dphi,
-            "n_state": n_state,
-            "sql_sample": sql_sample(grid),
-            "loss_bound": loss_bound(grid, eta, PowerConstraint.SAMPLE),
-        },
-        metadata={
-            "eta": eta,
-            "n_opt": None if math.isinf(n_opt) else int(n_opt),
-            "stationarity_root": None if math.isinf(root) else root,
-            "kink_n_sig": None if math.isinf(kink) else kink,
-        },
-    )

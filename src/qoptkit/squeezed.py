@@ -23,16 +23,12 @@ so it falls as 1/(2 sqrt(n_sig L)) to leading order.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Axis, FigureDataset
-from .domain import (AMPLITUDE, COMPARE_N_SIG, EFFICIENCY, MAX_CELLS,
-                     POSITIVE, check_size, require_grid, require_in)
+from .domain import AMPLITUDE, EFFICIENCY, POSITIVE, require_in
 from .limits import sql_sample
-from .noon import noon_best_precision, noon_optimal_n
 
 def _loss_noise(eta):
     # vacuum admixed by the channel, in variance units: (1-eta)/eta
@@ -117,61 +113,4 @@ def optimal_squeezing(n_sig: float, eta: float) -> SqueezedBudgetReport:
         n_opt_nonclassical=squeezing_photon_cost(v_opt),
         delta_phi=dphi,
         enhancement=sql_sample(n_sig) / dphi,
-    )
-
-
-# -- strategy comparison ---------------------------------------------------
-
-
-def default_eta_grid(n_points: int = 200, eta_min: float = 0.5,
-                     eta_max: float = 0.999) -> np.ndarray:
-    """eta in [eta_min, eta_max], log-spaced in the loss 1-eta, ascending."""
-    return 1.0 - np.logspace(math.log10(1.0 - eta_min),
-                             math.log10(1.0 - eta_max), n_points)
-
-
-def default_n_sig_grid(n_points: int = 200) -> np.ndarray:
-    """n_sig in [1, 100], log-spaced."""
-    return np.logspace(0.0, 2.0, n_points)
-
-
-def noon_vs_squeezed_grid(eta_grid=None, n_sig_grid=None) -> FigureDataset:
-    """Ratio of optimal-NOON to optimal-squeezed precision on a 2-d grid.
-
-    Ratio > 1 means the squeezed strategy is the more precise one at that
-    (eta, n_sig). Metadata records the ratio extremes over the grid and where
-    they occur.
-    """
-    eta_grid = require_grid(
-        default_eta_grid() if eta_grid is None else eta_grid,
-        "eta grid", 0.0, 1.0)
-    n_sig_grid = require_grid(
-        default_n_sig_grid() if n_sig_grid is None else n_sig_grid,
-        "n_sig grid", *COMPARE_N_SIG)
-    check_size(len(eta_grid) * len(n_sig_grid), MAX_CELLS, "grid cells")
-
-    eta, n_sig = eta_grid[:, None], n_sig_grid[None, :]
-    n_opt, _, _ = noon_optimal_n(eta)
-    noon, _ = noon_best_precision(eta, n_sig, n_opt)
-    flat = (noon / optimal_squeezing(n_sig, eta).delta_phi).reshape(-1)
-    i_min, i_max = int(np.argmin(flat)), int(np.argmax(flat))
-    return FigureDataset(
-        figure_id="noon-vs-squeezed-ratio",
-        axes=(
-            Axis("eta", eta_grid, "log"),
-            Axis("n_sig", n_sig_grid, "log"),
-        ),
-        columns={"ratio": flat},
-        metadata={
-            "ratio_min": float(flat[i_min]),
-            "ratio_max": float(flat[i_max]),
-            "ratio_min_at": {
-                "eta": float(eta_grid[i_min // len(n_sig_grid)]),
-                "n_sig": float(n_sig_grid[i_min % len(n_sig_grid)]),
-            },
-            "ratio_max_at": {
-                "eta": float(eta_grid[i_max // len(n_sig_grid)]),
-                "n_sig": float(n_sig_grid[i_max % len(n_sig_grid)]),
-            },
-        },
     )

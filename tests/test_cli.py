@@ -135,6 +135,17 @@ def test_condition_at_tiny_efficiency(capsys):
     assert rows[:, 1] == pytest.approx([float(e) for e in exact], rel=1e-12)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--epsilon", "2.2250738585e-313", "--n-det", "10"],
+    ["--epsilon", "1e-200", "--eta", "1e-200"]])
+def test_bucket_posterior_at_tiny_epsilon(capsys, flags):
+    # TAIL_MASS P(click) is 0 in floating point here; as eps -> 0 a click
+    # means one photon
+    _, rows = run_csv(capsys, ["condition", "--side", "detector",
+                               "--detector", "bucket", *flags])
+    assert rows[1, 1:] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_simulate_hom_exact_zero(capsys):
     header, rows = run_csv(capsys, ["simulate", "hom"])
     assert dict(zip(header, rows[0]))["cross_coincidence_rate"] == 0.0

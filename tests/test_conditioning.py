@@ -206,6 +206,25 @@ def test_posterior_bucket_heavy_tail():
     assert oracles.exact_tv(got.pmf, exact) <= 1e-12
 
 
+@pytest.mark.parametrize("eps", [5e-324, 2.2250738585e-313, 1e-300])
+@pytest.mark.parametrize("eta", [1.0, 0.7, 0.4, 0.1])
+def test_posterior_bucket_tiny_epsilon(eps, eta):
+    # P(click) = eps eta/(1 - eps + eps eta) is subnormal here, and
+    # TAIL_MASS P(click) is 0 in floating point
+    got = posterior_bucket(PdcTwinBeam(eps), LossChannel(eta))
+    exact = oracles.exact_posterior_bucket(eps, eta)
+    assert oracles.exact_tv(got.pmf, exact) <= 1e-12
+
+
+@pytest.mark.parametrize("eta", [1e-200, 1e-320, 5e-324])
+def test_posterior_bucket_tiny_efficiency(eta):
+    # 1 - eta is 1 even at 50 digits, so the reference is the eta -> 0 law
+    # p(N | click) = N (1-eps)^2 eps^(N-1), off by O(N eta)
+    got = posterior_bucket(PdcTwinBeam(0.5), LossChannel(eta)).pmf
+    n = np.arange(len(got))
+    assert got == pytest.approx(n * 0.25 * 0.5 ** (n - 1.0), rel=1e-12)
+
+
 @pytest.mark.parametrize("eta", [0.01, 0.3, 0.9])
 def test_apply_loss_coherent_stays_poisson(eta):
     mean = 1030.0

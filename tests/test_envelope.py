@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import io
 import math
+import re
 import resource
 import sys
 import tracemalloc
@@ -174,6 +175,33 @@ EXTREMES = [
     # each flag is in its domain; together they overflow the report
     (["noon", "--n", "171", "--eta", "1e-300", "--n-sig", "29200"],
      "--n 171 and --eta 1e-300 put sqrt(eta^-N) past the largest float"),
+    (["squeezed", "--alpha", "1e-300", "--v-sqz", "1e300", "--eta", "0.5"],
+     "--alpha 1e-300 --v-sqz 1e+300 --eta 0.5 put delta_phi past the largest "
+     "float"),
+    (["squeezed", "--alpha", "1", "--v-sqz", "1.7e308", "--eta", "2.3e-308"],
+     "--alpha 1.0 --v-sqz 1.7e+308 --eta 2.3e-308 put delta_phi past"),
+    (["squeezed", "--n-sig", "1e-300", "--eta", "2.3e-308"],
+     "--n-sig 1e-300 --eta 2.3e-308 put delta_phi past"),
+    (["squeezed", "--n-sig", "1e-300", "--v-sqz", "1", "--eta", "2.3e-308"],
+     "--n-sig 1e-300 --v-sqz 1.0 --eta 2.3e-308 put delta_phi past"),
+    (["squeezed", "--n-sig", "1e-300", "--eta", "1e-10"],
+     "--n-sig 1e-300 --eta 1e-10 put delta_phi past"),
+    # a budget's squeezed variance is at most 1; --alpha mode takes any V > 0
+    (["squeezed", "--n-sig", "1e18", "--eta", "0.5", "--v-sqz", "9.99"],
+     "argument --v-sqz: a budget (--n-sig) takes v_sqz in (0, 1]"),
+    # max above min, but too close for the points to differ
+    (["noon", "--curve", "--eta", "0.5", "--n-sig-min", "1", "--n-sig-max",
+      "1.0000000000000002", "--n-sig-points", "23"],
+     "--n-sig-min 1.0 --n-sig-max 1.0000000000000002 --n-sig-points 23 give "
+     "no strictly increasing grid"),
+    (["compare", "--eta-min", "0.5", "--eta-max", "0.5000000000000001",
+      "--eta-points", "5"],
+     "--eta-min 0.5 --eta-max 0.5000000000000001 --eta-points 5 give no"),
+    (["compare", "--n-sig-min", "1", "--n-sig-max", "1.0000000000000002",
+      "--n-sig-points", "5"],
+     "--n-sig-min 1.0 --n-sig-max 1.0000000000000002 --n-sig-points 5 give"),
+    (["compare", "--eta-min", "0.9", "--eta-max", "0.5"],
+     "--eta-min 0.9 --eta-max 0.5 --eta-points 200 give no"),
 ]
 
 
@@ -190,6 +218,15 @@ def test_extreme_input_refused_before_allocating(argv, names):
     assert code == 2
     assert err.count("\n") == 1 and names in err
     assert peak < 10 * 2**20
+
+
+def test_squeezed_keeps_a_finite_answer_at_the_least_normal_eta():
+    # (1 - eta)/eta is about 4.3e307, still finite, and so is delta_phi
+    code, out, _ = run_captured(["squeezed", "--n-sig", "1e18", "--eta",
+                                 "2.3e-308"])
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert dict(zip(header, rows[0]))["delta_phi"] == 3.2969023669789348e+144
 
 
 @pytest.mark.parametrize("n", (3, 1000))
@@ -365,6 +402,14 @@ COMMANDS = st.one_of(
 )
 
 
+# the refusals that name no flag, each a kind README lists: an impossible
+# observation, the bright-probe gate, a spent squeezing budget, a size limit
+# and the noon report's one-state rule. Any other refusal names its flags.
+REFUSAL_KINDS = ("observation impossible", "bucket click impossible",
+                 "bright-probe gate", "consumes the whole budget",
+                 "over the limit of", "cannot complete one N=")
+
+
 @given(COMMANDS)
 @settings(max_examples=300, deadline=None)
 def test_any_small_argv_prints_a_finite_dataset_or_exits_2(argv):
@@ -375,3 +420,5 @@ def test_any_small_argv_prints_a_finite_dataset_or_exits_2(argv):
         assert np.all(np.isfinite(rows)), argv
     else:
         assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+        assert (re.search(r"--[a-z]", err)
+                or any(kind in err for kind in REFUSAL_KINDS)), (argv, err)

@@ -12,6 +12,7 @@ from qoptkit.figures import (
     fig_limits,
     fig_noon_loss,
     fig_squeezed_loss,
+    noon_vs_squeezed_grid,
 )
 
 
@@ -88,6 +89,7 @@ def test_fig_squeezed_loss_columns():
 
 
 def test_fig_compare_alias():
+    assert FIGURES["fig-compare"] is noon_vs_squeezed_grid
     ds = FIGURES["fig-compare"](np.array([0.8, 0.9]), np.array([5.0, 50.0]))
     assert ds.figure_id == "noon-vs-squeezed-ratio"
     assert ds.n_rows == 4

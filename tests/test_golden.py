@@ -93,9 +93,9 @@ GOLDEN = {
     ("fig-compare", "json"):
         "b2ac7f3540449fa1cd1c0e4d0fc4ff5c1ec64652cf55c5737ab56dd24433ff92",
     ("fig-conditional-detector-bucket", "csv"):
-        "c9bdafe3e6837c76817200d52839222ef65d1c6ecbf66f9490769865b0657d7e",
+        "59f08613d3421669a95a4ea279995d3c9c4740ba42087881bc908cd0a01806d3",
     ("fig-conditional-detector-bucket", "json"):
-        "22e181f56d5bcd538e2864a161511261803aa23a40edc6db1a34227c353d5e94",
+        "c01f4a7a6d62c53f9ce6dd5c14696b62ac12bf14fb5822a9a2fa1481ce10afde",
     ("fig-conditional", "csv"):
         "c03bceb99e08af3a481b918ebeecabaaac8342033f5cd2a889b4ddacf1417028",
     ("fig-conditional", "json"):
@@ -169,9 +169,9 @@ GOLDEN = {
     ("condition-detector-nr", "json"):
         "f98d7747fdadb276c5647d0ebe042a7405674982f3e116bf77fb14b5ffeef9f0",
     ("condition-detector-bucket", "csv"):
-        "c9bdafe3e6837c76817200d52839222ef65d1c6ecbf66f9490769865b0657d7e",
+        "59f08613d3421669a95a4ea279995d3c9c4740ba42087881bc908cd0a01806d3",
     ("condition-detector-bucket", "json"):
-        "e0aeae1d0cf7f7d5e6105b7e42782a1f98563ff2f26c4d870fbc43a31eeeebdd",
+        "9f1a6e35afc4210e30179b293333e9213f70edfb2cf178b3270e26cfa0c81f5c",
 }
 
 

@@ -4,6 +4,8 @@ scipy's import alone takes about a second, several times the rest of a
 `qoptkit` process, so it must stay off the import path of the package.
 `import qoptkit` loads no submodule and no numpy, and `qoptkit.cli` starts
 numpy's OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is already set.
+`noon` and `squeezed` return values only: neither loads the dataset module
+nor the other.
 Each check runs in a fresh interpreter, since this one has numpy loaded.
 """
 import hashlib
@@ -56,6 +58,16 @@ def test_import_qoptkit_loads_no_submodule_and_no_numpy():
     out = child(["-c", "import sys, qoptkit; print(sorted(m for m in "
                        "sys.modules if m.startswith(('numpy', 'qoptkit.'))))"])
     assert out == "[]\n"
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("noon", ("dataset", "squeezed")), ("squeezed", ("noon", "dataset"))])
+def test_closed_form_modules_build_no_table(module, absent):
+    # the tables of noon's and squeezed's closed forms are built in figures
+    loaded = json.loads(child(["-c", f"import json, sys, qoptkit.{module}; "
+                                     "print(json.dumps(list(sys.modules)))"]))
+    assert f"qoptkit.{module}" in loaded
+    assert not {f"qoptkit.{m}" for m in absent} & set(loaded)
 
 
 @pytest.mark.parametrize("given, kept", [(None, "1"), ("2", "2")])

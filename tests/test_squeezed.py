@@ -8,7 +8,6 @@ import oracles
 from qoptkit import (
     PowerConstraint,
     default_eta_grid,
-    default_n_sig_grid,
     loss_bound,
     noon_vs_squeezed_grid,
     optimal_squeezing,
@@ -147,7 +146,7 @@ def test_default_grids():
     assert eta[0] == pytest.approx(0.5, rel=1e-12)
     assert eta[-1] == pytest.approx(0.999, rel=1e-12)
     assert np.all(np.diff(eta) > 0)
-    n_sig = default_n_sig_grid()
+    n_sig = noon_vs_squeezed_grid().axis("n_sig").values
     assert len(n_sig) == 200
     assert n_sig[0] == 1.0 and n_sig[-1] == pytest.approx(100.0, rel=1e-12)
 
