@@ -45,6 +45,12 @@ from .states import (
 # apply_loss's Horner block (32 and 64 tie below ~1500 entries, 64 wins
 # above), and the longest product run from a posterior kernel anchor
 BLOCK = 64
+# apply_loss's Pascal triangle, C(j, i) for i, j <= BLOCK as running products
+# of C(j, i)/C(j, i-1), and its index j - i, clipped to 0 where C(j, i) = 0
+_K = np.arange(BLOCK + 1)
+_DOWN = np.maximum(_K[:, None] - _K, 0)
+_BINOM = np.cumprod(np.where(_K > 0, np.maximum(_K[:, None] - _K + 1, 0)
+                             / np.maximum(_K, 1), 1.0), axis=1)
 
 
 @dataclass(frozen=True)
@@ -74,13 +80,8 @@ def apply_loss(d: PhotonDistribution, channel: LossChannel) -> PhotonDistributio
     eta = channel.eta
     if eta == 1.0:
         return d
-    k = np.arange(BLOCK + 1)
-    down = k[:, None] - k
     # pascal[j, i] = C(j, i) (1-eta)^(j-i) eta^i, the coefficients of w^j
-    ratio = np.maximum(down + 1, 0) / np.maximum(k, 1)  # C(j, i) / C(j, i-1)
-    ratio[:, 0] = 1.0
-    pascal = (np.cumprod(ratio, axis=1)
-              * (1.0 - eta) ** np.maximum(down, 0) * eta**k)
+    pascal = _BINOM * ((1.0 - eta) ** _K)[_DOWN] * eta**_K
     # zero padding above the top degree only adds exact zeros
     blocks = np.pad(d.pmf, (0, -len(d.pmf) % BLOCK)).reshape(-1, BLOCK)
     sums = blocks @ pascal[:BLOCK, :BLOCK]
@@ -149,8 +150,9 @@ def posterior_number_resolving(state: PdcTwinBeam, n_det: int,
     # p(n_det + m_env + j) <= rho^j; the support ends before that envelope's
     # tail is below TAIL_MASS.
     rho = 0.5 * (1.0 + q)
-    n_env = check_size(math.ceil(q * n_det / (rho - q)) + 1 + math.ceil(
-        math.log(TAIL_MASS * (1.0 - rho)) / math.log(rho)))
+    n_env = math.ceil(q * n_det / (rho - q)) + 1 + math.ceil(
+        math.log(TAIL_MASS * (1.0 - rho)) / math.log(rho))
+    check_size(n_det + n_env)  # the support also holds the n_det zeros
 
     def tail_below(m, p):  # p r/(1 - r) < TAIL_MASS, true from the cut on
         return q * (m + n_det + 1) / (m + 1) * (p + TAIL_MASS) < TAIL_MASS

@@ -13,8 +13,8 @@ import numpy as np
 
 # Each size limit keeps the largest call near 250 MB: a heralding posterior
 # holds about a dozen float arrays of its support length, a grid dataset
-# about 250 bytes per cell through serialization, a simulation about 32
-# bytes per trial.
+# about 250 bytes per cell through serialization, a simulation about 16
+# bytes per trial (about 135 MB).
 MAX_SUPPORT = 2**21
 MAX_CELLS = 2**20
 MAX_TRIALS = 2**23
@@ -24,8 +24,8 @@ MAX_PHOTONS = 1e18
 # (lo, hi, lo_closed, hi_closed) for require_in, or (lo, hi) of ints
 POSITIVE = (0.0, math.inf)
 PHOTONS = (0.0, MAX_PHOTONS, False, True)
-# normal, so the NOON curve's dphi ~ 1/(2 n_sig) at its first point is finite
-NOON_N_SIG_MIN = (2.0**-1022, MAX_PHOTONS, True, True)
+# a single state holds N = 2 n_sig >= 1 photons: none with less beats the floor
+NOON_N_SIG_MIN = (0.5, MAX_PHOTONS, True, True)
 EFFICIENCY = (2.0**-1022, 1.0, True, True)  # normal, so (1-eta)/eta is finite
 # normal, so the homodyne dphi ~ 1/(2 alpha) is finite
 AMPLITUDE = (2.0**-1022, math.inf, True, False)
@@ -34,7 +34,7 @@ TARGET_RATE = (0.0, 2.0**1022)  # 4 rate/N^2 stays below the largest float
 HOMODYNE_EFFICIENCY = (1e-300, 1.0, True, True)
 TRANSMISSION = (0.0, 1.0, True, True)
 LOG_LOSS = (2.0**-54, 1.0)  # from here up 1 - eta < 1 in floating point
-COMPARE_N_SIG = (0.0, 100.0, False, True)
+COMPARE_N_SIG = (0.5, 100.0, True, True)
 EPSILON = (0.0, 1.0, True, False)  # (1-eps)*eps^N is unnormalizable at 1
 ABSORPTION = (0.0, 1.0)
 PHASE = (-math.pi, math.pi, True, True)

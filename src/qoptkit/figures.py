@@ -13,8 +13,8 @@ import numpy as np
 from . import conditioning as cond
 from .conditioning import DetectorKind, LossChannel
 from .dataset import Axis, FigureDataset
-from .domain import (COMPARE_N_SIG, EFFICIENCY, MAX_CELLS, TRANSMISSION,
-                     check_size, require_grid, require_in)
+from .domain import (COMPARE_N_SIG, EFFICIENCY, MAX_CELLS, NOON_N_SIG_MIN,
+                     TRANSMISSION, check_size, require_grid, require_in)
 from .limits import (PowerConstraint, heisenberg, loss_bound, sql_sample,
                      squeezed_vacuum_crb)
 from .noon import noon_best_precision, noon_optimal_n
@@ -139,7 +139,7 @@ def noon_precision_curve(eta: float, n_sig_grid) -> FigureDataset:
     at eta=1.
     """
     require_in(eta, "eta", *EFFICIENCY)
-    grid = require_grid(n_sig_grid, "n_sig grid", 0.0)
+    grid = require_grid(n_sig_grid, "n_sig grid", *NOON_N_SIG_MIN)
     require_in(np.diff(grid), "n_sig grid steps", 0.0)  # strictly ascending
     if eta < 1.0:
         n_opt, _, root = noon_optimal_n(eta)

@@ -16,7 +16,8 @@ Sampling model per experiment:
 Reproducibility contract: every draw comes from a counter-based Philox
 generator keyed by (seed, stream constant), one stream per experiment, with
 all draws vectorized in a fixed order. Same seed, same numbers, bit for bit,
-regardless of how results are later aggregated.
+regardless of how results are later aggregated. At most two trial-sized
+arrays are live at once.
 """
 from __future__ import annotations
 
@@ -110,9 +111,11 @@ def simulate_coherent_mz(cfg: SimConfig) -> SimReport:
     rng = _generator(cfg.seed, _STREAM_MZ)
     mean_a = eta * n0 * (1.0 + math.cos(cfg.phase)) / 2.0
     mean_b = eta * n0 * (1.0 - math.cos(cfg.phase)) / 2.0
-    n_a = rng.poisson(mean_a, cfg.trials)
-    n_b = rng.poisson(mean_b, cfg.trials)
-    phi_hat = math.pi / 2.0 - (n_a - n_b) / (eta * n0)
+    diff = rng.poisson(mean_a, cfg.trials)
+    diff -= rng.poisson(mean_b, cfg.trials)
+    phi_hat = diff / (eta * n0)
+    del diff
+    np.subtract(math.pi / 2.0, phi_hat, out=phi_hat)
     return _report(phi_hat, 1.0 / math.sqrt(eta * n0))
 
 
@@ -192,9 +195,10 @@ def simulate_hom(trials: int, distinguishable: bool,
     """
     require_int(trials, "trials", *HOM_TRIALS)
     rng = _generator(seed, _STREAM_HOM)
-    port_1 = rng.integers(0, 2, trials)
+    port_1 = rng.integers(0, 2, trials).astype(bool)
     # an indistinguishable pair's second photon follows the first
-    port_2 = rng.integers(0, 2, trials) if distinguishable else port_1
+    port_2 = (rng.integers(0, 2, trials).astype(bool) if distinguishable
+              else port_1)
     return float(np.mean(port_1 != port_2))
 
 
@@ -219,8 +223,8 @@ def simulate_homodyne_squeezed(cfg: SimConfig, v_sqz: float) -> SimReport:
     rng = _generator(cfg.seed, _STREAM_HOMODYNE)
     mean = 2.0 * math.sqrt(eta) * alpha * cfg.phase
     sigma = math.sqrt(eta * v_sqz + (1.0 - eta))
-    y = rng.normal(mean, sigma, cfg.trials)
-    phi_hat = y / (2.0 * alpha * math.sqrt(eta))
+    phi_hat = rng.normal(mean, sigma, cfg.trials)
+    phi_hat /= 2.0 * alpha * math.sqrt(eta)
     return _report(phi_hat, squeezed_precision(alpha, v_sqz, eta))
 
 
@@ -242,8 +246,9 @@ def simulate_heralded_absorption(alpha_true: float, n_sig: int, heralded: bool,
         k = rng.binomial(n_sig, 1.0 - alpha_true, trials)
         var = alpha_true * (1.0 - alpha_true) / n_sig
     else:
-        source = rng.poisson(n_sig, trials)
-        k = rng.binomial(source, 1.0 - alpha_true)
+        k = rng.binomial(rng.poisson(n_sig, trials), 1.0 - alpha_true)
         var = (1.0 - alpha_true) / n_sig
-    alpha_hat = 1.0 - k / n_sig
+    alpha_hat = k / n_sig
+    del k
+    np.subtract(1.0, alpha_hat, out=alpha_hat)
     return _report(alpha_hat, math.sqrt(var))

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import EFFICIENCY, NOON_N, TARGET_RATE, require_in, require_int
+from .domain import (EFFICIENCY, NOON_N, NOON_N_SIG_MIN, TARGET_RATE,
+                     require_in, require_int)
 from .limits import PowerConstraint
 
 N_SEARCH_MAX = 200  # caps n_opt; binds for eta > e^(x*/200), about 0.99363
@@ -164,10 +165,11 @@ def noon_best_precision(eta, n_sig, n_opt):
     valued idealization) beats any repetition strategy; above it, repeating
     the n_opt-photon state of noon_optimal_n wins. Both branches evaluate
     identically at the kink; n_opt = inf (lossless) keeps the single state
-    everywhere. Broadcasts over its arguments; returns (delta_phi, n_state).
+    everywhere. n_sig starts at 0.5, where that state holds one photon.
+    Broadcasts over its arguments; returns (delta_phi, n_state).
     """
     eta = require_in(eta, "eta", *EFFICIENCY)
-    n_sig = require_in(n_sig, "n_sig", 0.0)
+    n_sig = require_in(n_sig, "n_sig", *NOON_N_SIG_MIN)
     n_state = np.where(n_sig <= n_opt / 2.0, 2.0 * n_sig, n_opt)
     return _delta_phi_m(n_state, eta, n_sig), n_state
 

@@ -274,9 +274,12 @@ def test_oversized_support_refused_before_allocating(capsys):
 @pytest.mark.parametrize("argv", (
     ["condition", "--n-det", "100000000"],
     ["figure", "fig-conditional", "--n-det", "100000000"],
+    ["condition", "--side", "detector", "--detector", "number-resolving",
+     "--epsilon", "0.9999999", "--n-det", "3000000", "--eta", "1"],
 ))
 def test_n_det_support_refused_before_allocating(argv, capsys):
-    # the number-resolving probe pmf would hold n_det + 1 entries (763 MiB)
+    # the number-resolving probe pmf would hold n_det + 1 entries (763 MiB),
+    # the detector-side posterior n_det zeros and then its own support
     tracemalloc.start()
     try:
         code = run(argv)

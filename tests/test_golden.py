@@ -17,8 +17,10 @@ COMMANDS = {
     "sim-mz": ["simulate", "mz", "--trials", "4000"],
     "sim-noon-fringe": ["simulate", "noon-fringe"],
     "sim-hom": ["simulate", "hom"],
+    "sim-hom-distinguishable": ["simulate", "hom", "--distinguishable"],
     "sim-homodyne": ["simulate", "homodyne", "--v-sqz", "0.5", "--eta", "0.8"],
     "sim-absorption": ["simulate", "absorption", "--heralded"],
+    "sim-absorption-coherent": ["simulate", "absorption"],
     "fig-limits": ["figure", "fig-limits"],
     "fig-noon-loss": ["figure", "fig-noon-loss"],
     "fig-squeezed-loss": ["figure", "fig-squeezed-loss"],
@@ -68,6 +70,10 @@ GOLDEN = {
         "435b8d4e732d70d91f1c8c7518e07712caaea3f4f0b0076d61233e45dce88cab",
     ("sim-hom", "json"):
         "0087f2fd0f68959efe76f57ffd893d389654567f78275860867b27990b4bf2a1",
+    ("sim-hom-distinguishable", "csv"):
+        "bd8e13dc5705d1a0787d0a7a4f7006ceb9d37f5473c63dfbfe2df626bf3b6221",
+    ("sim-hom-distinguishable", "json"):
+        "422d64a09c18fa87f86eac4c4d8920db7a95b62329d83c4cf8ee544f9cc5c94a",
     ("sim-homodyne", "csv"):
         "2d243072947aafdaf95cc811cdc8a8ca2588b37e99902d22e1e91de1e436685b",
     ("sim-homodyne", "json"):
@@ -76,6 +82,10 @@ GOLDEN = {
         "8c5833e21f409538ace521e3f2d8c2c811cfedf78ea1125d44f5732336dfba1c",
     ("sim-absorption", "json"):
         "66d6bf5bf02ad3fd3be9794ffcbad9bbf3aae5e8bee0a558dda046e088aa3cc3",
+    ("sim-absorption-coherent", "csv"):
+        "a818dd187e01459c8fc80c47456378b48194bf822bc75cb1d9ce988c35545ee0",
+    ("sim-absorption-coherent", "json"):
+        "7cca536aaa62108cfbe4001f8bd0471ac02f3a825675ac44b851dcf13f629caf",
     ("fig-limits", "csv"):
         "cbc71c5be24526c72d8dd1f9f4515d611abd02ea65b8084a1b236c405e594520",
     ("fig-limits", "json"):

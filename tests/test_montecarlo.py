@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,3 +166,28 @@ def test_absorption_deterministic():
     a = simulate_heralded_absorption(0.2, 500, True, 500)
     b = simulate_heralded_absorption(0.2, 500, True, 500)
     assert a == b
+
+
+MEMORY_TRIALS = 200_000
+
+
+@pytest.mark.parametrize("simulate, bytes_per_trial", [
+    (lambda n: simulate_coherent_mz(SimConfig(trials=n)), 16),
+    (lambda n: simulate_homodyne_squeezed(
+        SimConfig(trials=n, n_photons=100.0, eta=0.8), 0.5), 16),
+    (lambda n: simulate_heralded_absorption(0.1, 10_000, True, n), 16),
+    (lambda n: simulate_heralded_absorption(0.1, 10_000, False, n), 16),
+    (lambda n: simulate_hom(n, distinguishable=True), 10),
+    (lambda n: simulate_hom(n, distinguishable=False), 10),
+], ids=["mz", "homodyne", "absorption-heralded", "absorption-coherent",
+        "hom-distinguishable", "hom-indistinguishable"])
+def test_simulation_holds_at_most_two_trial_arrays(simulate, bytes_per_trial):
+    # two 8-byte arrays of the trial length, or for HOM one 8-byte draw
+    # and two boolean ports, plus a fixed allowance for the generator
+    tracemalloc.start()
+    try:
+        simulate(MEMORY_TRIALS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bytes_per_trial * MEMORY_TRIALS + 256 * 2**10

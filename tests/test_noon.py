@@ -17,6 +17,7 @@ from qoptkit import (
     noon_repeated,
     noon_single_shot,
     noon_threshold_efficiency,
+    optimal_squeezing,
     sql_sample,
 )
 
@@ -153,7 +154,7 @@ def test_scalar_call_equals_array_entry_bit_for_bit():
     rng = np.random.default_rng(2024)
     n = rng.integers(1, 400, 2000).astype(float)
     eta = rng.uniform(0.3, 1.0, 2000)
-    n_sig = 10.0 ** rng.uniform(-1.0, 4.0, 2000)
+    n_sig = 10.0 ** rng.uniform(-0.3, 4.0, 2000)  # a NOON n_sig is >= 0.5
     enh = noon_enhancement(n, eta)
     n_opt, best, root = noon_optimal_n(eta)
     dphi, n_state = noon_best_precision(eta, n_sig, n_opt)
@@ -254,3 +255,19 @@ def test_postselection_monte_carlo_confirms_single_shot():
     assert abs(std - noon_single_shot(4, 0.8)) < 4.0 * se
     std, se = oracles.noon_postselected_precision(3, 0.9, 20000, 300, seed=12)
     assert abs(std - noon_single_shot(3, 0.9)) < 4.0 * se
+
+
+def test_no_precision_beats_the_loss_floor():
+    # no state beats the channel's floor: check NOON and squeezed light at
+    # the domain's edges, eta from the least normal float to 1 - 2^-53 and
+    # n_sig from a one-photon NOON state to MAX_PHOTONS
+    eta = np.concatenate([[2.0**-1022], np.geomspace(1e-300, 0.5, 40),
+                          1.0 - np.geomspace(0.25, 2.0**-53, 40)])[:, None]
+    n_sig = np.geomspace(0.5, 1e18, 45)
+    floor = loss_bound(n_sig, eta, PowerConstraint.SAMPLE) * (1.0 - 1e-12)
+    noon, _ = noon_best_precision(eta, n_sig, noon_optimal_n(eta)[0])
+    assert np.all(noon >= floor)
+    assert np.all(optimal_squeezing(n_sig, eta).delta_phi >= floor)
+    # below half a photon of exposure a NOON state would hold less than one
+    with pytest.raises(ValueError, match="n_sig"):
+        noon_best_precision(0.001, 0.01, 1)
