@@ -35,7 +35,7 @@ from .dataset import FigureDataset, write_text_atomic
 from .domain import (ABSORPTION, ABSORPTION_N_SIG, AMPLITUDE, COMPARE_N_SIG,
                      EFFICIENCY, EPSILON, GRID_POINTS, HOM_TRIALS,
                      HOMODYNE_EFFICIENCY, LOG_LOSS, MAX_PHOTONS, MZ_N0,
-                     MZ_PHASE, N_DET, NOON_N, NOON_N_SIG_MIN, PHASE,
+                     MZ_PHASE, N_DET, NOON_N, ONE_PHOTON_N_SIG, PHASE,
                      PHASE_POINTS, PHOTONS, POSITIVE, SEED, STD_TRIALS,
                      TARGET_RATE, TRANSMISSION, TRIALS, require_in,
                      require_int)
@@ -153,9 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "1/sqrt(eta n0), 1/n0, sqrt((1-eta)/eta)/(2 sqrt(n_sig)) "
                     "and the squeezed-vacuum bound "
                     "(1/(2 sqrt(2))) (n^2+n)^(-1/2) at n0 = 2 n_sig.")
-    # n0 = 2 n_sig >= 1, the Heisenberg bound's domain
-    p.add_argument("--n-sig", type=flag((0.5, MAX_PHOTONS, True, True)),
-                   required=True, help="photons through the sample arm")
+    p.add_argument("--n-sig", type=flag(ONE_PHOTON_N_SIG), required=True,
+                   help="photons through the sample arm")
     p.add_argument("--eta", type=flag(EFFICIENCY), default=0.9,
                    help="efficiency for the eta-dependent bounds")
 
@@ -182,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--total-power", action="store_true",
                    help="budget --flux at equal total flux (n/N^2) instead "
                         "of equal sample exposure (4 n_sig/N^2)")
-    p.add_argument("--n-sig-min", type=flag(NOON_N_SIG_MIN), default=1.0)
+    p.add_argument("--n-sig-min", type=flag(ONE_PHOTON_N_SIG), default=1.0)
     p.add_argument("--n-sig-max", type=flag(PHOTONS), default=1e4)
     p.add_argument("--n-sig-points", type=flag(GRID_POINTS), default=200)
 

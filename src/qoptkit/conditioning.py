@@ -89,7 +89,8 @@ def apply_loss(d: PhotonDistribution, channel: LossChannel) -> PhotonDistributio
     for s in sums[-2::-1]:
         h = np.convolve(h, pascal[BLOCK])
         h[:BLOCK] += s
-    return PhotonDistribution(h[: len(d.pmf)])
+    # at eta near 0 entry 0 sums all the mass and can round one ulp past 1
+    return PhotonDistribution(np.minimum(h[: len(d.pmf)], 1.0))
 
 
 def condition_probe_number_resolving(n_det: int,
@@ -130,20 +131,15 @@ def posterior_number_resolving(state: PdcTwinBeam, n_det: int,
 
         p(N | n_det) = (1 - q) Binomial(n_det; N, 1 - q),   N >= n_det.
 
-    The support ends where the posterior's own tail drops below TAIL_MASS.
+    It holds for every n_det, however far past the prior's bulk; only an
+    n_det > 0 at eps = 0 or eta = 0 is impossible, and refused. The support
+    ends where the posterior's own tail drops below TAIL_MASS.
     """
     require_int(n_det, "n_det", *N_DET)
     eps, eta = state.epsilon, detector_loss.eta
-    n_prior = geometric_n_max(eps)
-    if n_det > n_prior:
-        raise ValueError(
-            f"N_det = {n_det} lies beyond the truncated prior support "
-            f"(n_max = {n_prior}): observation impossible at this epsilon"
-        )
-    if eta == 0.0 and n_det > 0:
-        raise ValueError(
-            f"P(N_det = {n_det}) = 0 at eta = {eta}: observation impossible"
-        )
+    if n_det > 0 and (eps == 0.0 or eta == 0.0):
+        raise ValueError(f"P(N_det = {n_det}) = 0 at eps = {eps}, eta = "
+                         f"{eta}: observation impossible")
     q = eps * (1.0 - eta)
     # From m_env = q n_det/(rho - q) undetected photons on, the step ratio
     # r(m) = p(m+1)/p(m) = q (m + n_det + 1)/(m + 1) is at most rho, so

@@ -12,9 +12,9 @@ import math
 import numpy as np
 
 # Each size limit keeps the largest call near 250 MB: a heralding posterior
-# holds about a dozen float arrays of its support length, a grid dataset
-# about 250 bytes per cell through serialization, a simulation about 16
-# bytes per trial (about 135 MB).
+# holds about a dozen float arrays of its support length, and a conditional
+# table at most that many cells; a grid dataset about 250 bytes per cell
+# through serialization, a simulation about 16 bytes per trial (135 MB).
 MAX_SUPPORT = 2**21
 MAX_CELLS = 2**20
 MAX_TRIALS = 2**23
@@ -24,8 +24,9 @@ MAX_PHOTONS = 1e18
 # (lo, hi, lo_closed, hi_closed) for require_in, or (lo, hi) of ints
 POSITIVE = (0.0, math.inf)
 PHOTONS = (0.0, MAX_PHOTONS, False, True)
-# a single state holds N = 2 n_sig >= 1 photons: none with less beats the floor
-NOON_N_SIG_MIN = (0.5, MAX_PHOTONS, True, True)
+# n0 = 2 n_sig >= 1 photons: the Heisenberg bound 1/n0 needs one, and so
+# does a single NOON state, whose precision with less would beat the floor
+ONE_PHOTON_N_SIG = (0.5, MAX_PHOTONS, True, True)
 EFFICIENCY = (2.0**-1022, 1.0, True, True)  # normal, so (1-eta)/eta is finite
 # normal, so the homodyne dphi ~ 1/(2 alpha) is finite
 AMPLITUDE = (2.0**-1022, math.inf, True, False)

@@ -13,7 +13,7 @@ import numpy as np
 from . import conditioning as cond
 from .conditioning import DetectorKind, LossChannel
 from .dataset import Axis, FigureDataset
-from .domain import (COMPARE_N_SIG, EFFICIENCY, MAX_CELLS, NOON_N_SIG_MIN,
+from .domain import (COMPARE_N_SIG, EFFICIENCY, MAX_CELLS, ONE_PHOTON_N_SIG,
                      TRANSMISSION, check_size, require_grid, require_in)
 from .limits import (PowerConstraint, heisenberg, loss_bound, sql_sample,
                      squeezed_vacuum_crb)
@@ -139,7 +139,7 @@ def noon_precision_curve(eta: float, n_sig_grid) -> FigureDataset:
     at eta=1.
     """
     require_in(eta, "eta", *EFFICIENCY)
-    grid = require_grid(n_sig_grid, "n_sig grid", *NOON_N_SIG_MIN)
+    grid = require_grid(n_sig_grid, "n_sig grid", *ONE_PHOTON_N_SIG)
     require_in(np.diff(grid), "n_sig grid steps", 0.0)  # strictly ascending
     if eta < 1.0:
         n_opt, _, root = noon_optimal_n(eta)
@@ -237,25 +237,27 @@ def fig_conditional(side: str = PROBE, detector=DetectorKind.NUMBER_RESOLVING,
     itself is lossy and the pmf is the Bayesian posterior for what reached
     the sample. Number-resolving panels condition on N_det = n_det; bucket
     panels condition on a click. detector is a DetectorKind or its value.
+
+    Each column is as long as the longest pmf; the table's cells pass
+    check_size after each panel, so one too big is refused before the next.
     """
     detector = DetectorKind(detector)
     eta_list = tuple(eta_list)
     require_grid(eta_list, "eta", *TRANSMISSION)
     tags = _column_tags(eta_list, "eta_list")
     state = PdcTwinBeam(epsilon)
-    pmfs = [
-        _panel_pmf(side, detector, state, eta, n_det) for eta in eta_list
-    ]
-    n_max = max(p.n_max for p in pmfs)
-    cols = {}
-    for tag, p in zip(tags, pmfs):
-        padded = np.zeros(n_max + 1)
-        padded[: p.n_max + 1] = p.pmf
-        cols[f"pmf_eta_{tag}"] = padded
+    pmfs, rows = [], 0
+    for eta in eta_list:
+        pmfs.append(_panel_pmf(side, detector, state, eta, n_det))
+        rows = max(rows, len(pmfs[-1].pmf))
+        check_size(len(eta_list) * rows, unit="table cells")
+    table = np.zeros((len(eta_list), rows))
+    for row, p in zip(table, pmfs):
+        row[: len(p.pmf)] = p.pmf
     return FigureDataset(
         figure_id=f"conditional-pmf-{side}-{detector.value}",
-        axes=(Axis("n_photons", np.arange(n_max + 1.0), "linear"),),
-        columns=cols,
+        axes=(Axis("n_photons", np.arange(rows + 0.0), "linear"),),
+        columns={f"pmf_eta_{tag}": row for tag, row in zip(tags, table)},
         metadata={
             "side": side,
             "detector": detector.value,

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (EFFICIENCY, NOON_N, NOON_N_SIG_MIN, TARGET_RATE,
+from .domain import (EFFICIENCY, NOON_N, ONE_PHOTON_N_SIG, TARGET_RATE,
                      require_in, require_int)
 from .limits import PowerConstraint
 
@@ -169,7 +169,7 @@ def noon_best_precision(eta, n_sig, n_opt):
     Broadcasts over its arguments; returns (delta_phi, n_state).
     """
     eta = require_in(eta, "eta", *EFFICIENCY)
-    n_sig = require_in(n_sig, "n_sig", *NOON_N_SIG_MIN)
+    n_sig = require_in(n_sig, "n_sig", *ONE_PHOTON_N_SIG)
     n_state = np.where(n_sig <= n_opt / 2.0, 2.0 * n_sig, n_opt)
     return _delta_phi_m(n_state, eta, n_sig), n_state
 

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -290,6 +291,49 @@ def test_n_det_support_refused_before_allocating(argv, capsys):
     assert code == 2
     assert err.count("\n") == 1 and "over the limit of 2097152" in err
     assert peak < 10 * 2**20
+
+
+def test_posterior_past_the_prior_bulk_answers(capsys):
+    # n_det = 60 lies past the eps = 0.5 prior's 1e-16 point (54)
+    assert run(["condition", "--side", "detector", "--detector",
+                "number-resolving", "--epsilon", "0.5", "--n-det", "60",
+                "--eta", "0.9"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _one_gib_address_space():
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    soft = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+TEN_ETAS = [x for eta in range(1, 11) for x in ("--eta", str(eta / 10))]
+PROBE_COUNT = ["condition", "--side", "probe", "--detector",
+               "number-resolving"]
+
+
+@pytest.mark.parametrize("argv, code, said", [
+    # 2 097 151 rows times ten columns, refused after the first panel
+    (PROBE_COUNT + ["--n-det", "2097150", *TEN_ETAS], 2, "table cells"),
+    (PROBE_COUNT + ["--n-det", "2097150", "--format", "json"], 2,
+     "table cells"),
+    # the four default columns of 524 288 rows: exactly 2^21 cells
+    (PROBE_COUNT + ["--n-det", "524287"], 0, None),
+    (["condition", "--side", "detector", "--detector", "number-resolving",
+      "--epsilon", "0.9999999", "--n-det", "10000000", "--eta", "1",
+      "--format", "json"], 2, "support points"),
+])
+def test_size_edges_in_a_fresh_capped_process(argv, code, said, tmp_path):
+    # under a 1 GiB address space a table the size check missed would end
+    # in MemoryError (exit 1); the cap binds only the child
+    proc = subprocess.run(
+        [sys.executable, "-m", "qoptkit.cli", *argv,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, preexec_fn=_one_gib_address_space)
+    assert proc.returncode == code, proc.stderr
+    if said:
+        assert proc.stderr.count("\n") == 1
+        assert said in proc.stderr and "over the limit of" in proc.stderr
 
 
 # Fit results that a Levenberg-Marquardt least-squares fit (scipy's

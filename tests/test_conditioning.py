@@ -139,10 +139,11 @@ def test_posterior_number_resolving_tail_survives():
 
 
 def test_posterior_number_resolving_errors():
-    prior = pdc_marginal_pmf(PdcTwinBeam(0.5))
-    with pytest.raises(ValueError):
-        posterior_number_resolving(PdcTwinBeam(0.5), prior.n_max + 5,
-                                   LossChannel(0.4))
+    # a count is impossible only with no photons or a blind detector
+    with pytest.raises(ValueError, match="observation impossible"):
+        posterior_number_resolving(PdcTwinBeam(0.0), 1, LossChannel(0.4))
+    with pytest.raises(ValueError, match="observation impossible"):
+        posterior_number_resolving(PdcTwinBeam(0.5), 1, LossChannel(0.0))
     with pytest.raises(ValueError):
         posterior_number_resolving(PdcTwinBeam(0.5), -1, LossChannel(0.4))
 
@@ -199,6 +200,16 @@ def test_posterior_number_resolving_heavy_tail(eps, eta, n_det):
                      oracles.exact_posterior_number_resolving(eps, n_det, eta))
 
 
+@pytest.mark.parametrize("eps, eta, n_det", [
+    (0.5, 0.9, 60), (0.5, 0.4, 100), (0.1, 0.5, 30), (0.9, 0.5, 400)])
+def test_posterior_number_resolving_past_the_prior_bulk(eps, eta, n_det):
+    # each n_det lies past the prior's own 1e-16 point: the closed form
+    # holds there all the same
+    got = posterior_number_resolving(PdcTwinBeam(eps), n_det, LossChannel(eta))
+    exact = oracles.exact_posterior_number_resolving(eps, n_det, eta)
+    assert oracles.exact_tv(got.pmf, exact) <= 1e-12
+
+
 def test_posterior_bucket_heavy_tail():
     eps, eta = 0.99, 0.01
     got = posterior_bucket(PdcTwinBeam(eps), LossChannel(eta))
@@ -252,6 +263,25 @@ def test_apply_loss_long_coherent_stays_poisson(eta):
     got = apply_loss(coherent_pmf(mean), LossChannel(eta))
     exact = oracles.exact_poisson(eta * mean, got.n_max + 1)
     assert oracles.exact_tv(got.pmf, exact) <= 1e-12
+
+
+@pytest.mark.parametrize("mean", [3.0, 10.0, 19.0])
+@pytest.mark.parametrize("eta", [0.0, 1e-300, 1e-20])
+def test_apply_loss_near_zero_transmission(mean, eta):
+    # entry 0 then sums all the mass, and must not round past 1
+    d = coherent_pmf(mean)
+    got = apply_loss(d, LossChannel(eta))
+    want = oracles.thin_pmf(list(d.pmf), eta)
+    assert oracles.total_variation(got.pmf, want) <= 1e-12
+
+
+def test_apply_loss_near_zero_transmission_on_random_pmfs():
+    rng = np.random.default_rng(2718)
+    for _ in range(200):
+        d = normalized(rng.random(rng.integers(2, 300)))
+        for eta in (0.0, 1e-300, 1e-20):
+            got = apply_loss(d, LossChannel(eta)).pmf
+            assert got[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_geometric_laws_match_enumeration():

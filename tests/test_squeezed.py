@@ -193,3 +193,19 @@ def test_optimal_respects_loss_floor(eta, n_sig):
     dphi = optimal_squeezing(n_sig, eta).delta_phi
     floor = loss_bound(n_sig, eta, PowerConstraint.SAMPLE)
     assert dphi >= floor * (1.0 - 1e-12)
+
+
+def test_v_opt_is_no_worse_than_its_neighbours():
+    # an invariant that needs no oracle, on the domain-edge grid of
+    # test_noon's loss-floor test: nudging V_opt by 1e-6 either way, inside
+    # (0, 1] and with a positive budget left, never improves the precision
+    eta = np.concatenate([[2.0**-1022], np.geomspace(1e-300, 0.5, 40),
+                          1.0 - np.geomspace(0.25, 2.0**-53, 40)])[:, None]
+    n_sig = np.geomspace(0.5, 1e18, 45)
+    eta, n_sig = np.broadcast_arrays(eta, n_sig)
+    v_opt = optimal_v_sqz(n_sig, eta)
+    best = squeezed_precision_budget(n_sig, v_opt, eta)
+    for v in (v_opt * (1.0 - 1e-6), v_opt * (1.0 + 1e-6)):
+        ok = (v <= 1.0) & (n_sig > squeezing_photon_cost(v))
+        near = squeezed_precision_budget(n_sig[ok], v[ok], eta[ok])
+        assert np.all(near >= best[ok] * (1.0 - 1e-12))
