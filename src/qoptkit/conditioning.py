@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import N_DET, TRANSMISSION, check_size, require_in, require_int
+from .domain import (N_DET, TRANSMISSION, check_size, require_in, require_int,
+                     require_observable)
 from .states import (
     TAIL_MASS,
     PdcTwinBeam,
@@ -99,7 +100,9 @@ def condition_probe_number_resolving(n_det: int,
 
     Perfect twin-beam correlation plus a perfect counter pins the probe at
     exactly n_det photons; thinning then gives Binomial(n_det, eta). The
-    sample can never see more than n_det photons.
+    sample can never see more than n_det photons. The count is taken as
+    given: whether the source can yield it is domain.require_observable's
+    question, which fig_conditional asks.
     """
     k = np.arange(check_size(require_int(n_det, "n_det", *N_DET) + 1))
     return PhotonDistribution(binomial_pmf(k, n_det, probe_loss.eta))
@@ -112,9 +115,11 @@ def condition_probe_bucket(state: PdcTwinBeam,
     The click leaves N = 1 + Geom(eps); thinned, that is Bernoulli(eta)
     convolved with Geom(eps'): p'(0) = (1-eta)(1-eps') and, for k >= 1,
     p'(k) = (1-eps') eps'^(k-1) ((1-eta) eps' + eta), on support
-    geometric_n_max(eps') + 1, which leaves out less than TAIL_MASS.
+    geometric_n_max(eps') + 1, which leaves out less than TAIL_MASS. At
+    eps = 0 no pair exists, and a click is refused as impossible.
     """
     eps, eta = state.epsilon, probe_loss.eta
+    require_observable(1, eps, 1.0, bucket=True)
     e2 = eta * eps / (1.0 - eps + eta * eps)  # eps' of the module docstring
     geo = pdc_marginal_pmf(PdcTwinBeam(e2), geometric_n_max(e2) + 1).pmf
     return PhotonDistribution((1.0 - eta) * geo + eta * np.append(0.0, geo[:-1]))
@@ -137,9 +142,7 @@ def posterior_number_resolving(state: PdcTwinBeam, n_det: int,
     """
     require_int(n_det, "n_det", *N_DET)
     eps, eta = state.epsilon, detector_loss.eta
-    if n_det > 0 and (eps == 0.0 or eta == 0.0):
-        raise ValueError(f"P(N_det = {n_det}) = 0 at eps = {eps}, eta = "
-                         f"{eta}: observation impossible")
+    require_observable(n_det, eps, eta)
     q = eps * (1.0 - eta)
     # From m_env = q n_det/(rho - q) undetected photons on, the step ratio
     # r(m) = p(m+1)/p(m) = q (m + n_det + 1)/(m + 1) is at most rho, so
@@ -186,11 +189,7 @@ def posterior_bucket(state: PdcTwinBeam,
     past n_max is below eps^(n_max+1) / P(click), which sets the support.
     """
     eps, eta = state.epsilon, detector_loss.eta
-    if eps == 0.0 or eta == 0.0:
-        raise ValueError(
-            f"bucket click impossible: eps = {eps}, eta = {eta} gives "
-            "P(N_det >= 1) = 0"
-        )
+    require_observable(1, eps, eta, bucket=True)
     # P(click) = eps eta/keep underflows at tiny eps, so it enters by its
     # factors: p(N | click) = (1-eps) keep eps^(N-1) (1 - (1-eta)^N)/eta
     keep = 1.0 - eps + eps * eta

@@ -14,7 +14,8 @@ import numpy as np
 # Each size limit keeps the largest call near 250 MB: a heralding posterior
 # holds about a dozen float arrays of its support length, and a conditional
 # table at most that many cells; a grid dataset about 250 bytes per cell
-# through serialization, a simulation about 16 bytes per trial (135 MB).
+# through serialization, a simulation 8 bytes per trial in its one
+# trial-sized array (67 MB).
 MAX_SUPPORT = 2**21
 MAX_CELLS = 2**20
 MAX_TRIALS = 2**23
@@ -101,6 +102,19 @@ def require_grid(values, name: str, lo: float, hi: float = math.inf,
     if a.ndim != 1 or len(a) == 0:
         raise ValueError(f"{name} must be a nonempty 1-d array")
     return require_in(a, name, lo, hi, lo_closed, hi_closed)
+
+
+def require_observable(n_det: int, eps: float, eta: float,
+                       bucket: bool = False) -> int:
+    """n_det unchanged, or a ValueError: a count above 0 (a bucket click is
+    one) needs a twin-beam pair, eps > 0, and a detector that sees it, eta >
+    0 (the probe side's detector is ideal, eta = 1)."""
+    if n_det <= 0 or (eps > 0.0 and eta > 0.0):
+        return n_det
+    zero = f"eps = {eps}" if eps == 0.0 else f"eta = {eta}"
+    raise ValueError(f"bucket click impossible: {zero} gives P(N_det >= 1) = 0"
+                     if bucket else
+                     f"P(N_det = {n_det}) = 0 at {zero}: observation impossible")
 
 
 def check_size(n: int, limit: int = MAX_SUPPORT,

@@ -14,7 +14,8 @@ from . import conditioning as cond
 from .conditioning import DetectorKind, LossChannel
 from .dataset import Axis, FigureDataset
 from .domain import (COMPARE_N_SIG, EFFICIENCY, MAX_CELLS, ONE_PHOTON_N_SIG,
-                     TRANSMISSION, check_size, require_grid, require_in)
+                     TRANSMISSION, check_size, require_grid, require_in,
+                     require_observable)
 from .limits import (PowerConstraint, heisenberg, loss_bound, sql_sample,
                      squeezed_vacuum_crb)
 from .noon import noon_best_precision, noon_optimal_n
@@ -48,8 +49,7 @@ def fig_limits(n_sig_grid=None, eta_list=(0.5, 0.9, 0.99)) -> FigureDataset:
     """
     if n_sig_grid is None:
         n_sig_grid = np.logspace(0.0, 6.0, 121)
-    # n_sig >= 0.5 so that n0 = 2*n_sig >= 1
-    grid = require_grid(n_sig_grid, "n_sig grid", 0.5, lo_closed=True)
+    grid = require_grid(n_sig_grid, "n_sig grid", *ONE_PHOTON_N_SIG)
     eta_list = tuple(eta_list)
     require_grid(eta_list, "eta", 0.0, 1.0)
     cols: dict[str, np.ndarray] = {
@@ -218,6 +218,8 @@ def _panel_pmf(side: str, detector: DetectorKind, state: PdcTwinBeam,
     channel = LossChannel(eta)
     if side == PROBE:
         if detector is DetectorKind.NUMBER_RESOLVING:
+            # the count is ideal, so only a source with no pairs rules it out
+            require_observable(n_det, state.epsilon, 1.0)
             return cond.condition_probe_number_resolving(n_det, channel)
         return cond.condition_probe_bucket(state, channel)
     if side == DETECTOR:

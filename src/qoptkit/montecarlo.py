@@ -16,8 +16,9 @@ Sampling model per experiment:
 Reproducibility contract: every draw comes from a counter-based Philox
 generator keyed by (seed, stream constant), one stream per experiment, with
 all draws vectorized in a fixed order. Same seed, same numbers, bit for bit,
-regardless of how results are later aggregated. At most two trial-sized
-arrays are live at once.
+regardless of how results are later aggregated. One trial-sized array is
+live at once: the first draw stage fills it whole, then the second is drawn
+into it in chunks of CHUNK trials, which gives the numbers of one call.
 """
 from __future__ import annotations
 
@@ -34,6 +35,8 @@ from .domain import (ABSORPTION, ABSORPTION_N_SIG, EFFICIENCY, HOM_TRIALS,
 from .squeezed import squeezed_precision
 
 DEFAULT_SEED = 97531
+# trials per chunk of a second draw stage or an in-place conversion
+CHUNK = 2**13
 
 # Stream constants: one per experiment so adding draws to one simulation
 # never shifts the numbers of another.
@@ -87,12 +90,32 @@ class SimReport:
     analytic_reference: float
 
 
+def _chunks(n: int):
+    """The slices of range(n) CHUNK trials long, in order."""
+    return (slice(i, i + CHUNK) for i in range(0, n, CHUNK))
+
+
+def _estimates(counts: np.ndarray, offset: float, scale: float) -> np.ndarray:
+    """offset - counts/scale as float64 in counts' buffer, chunk by chunk."""
+    x = counts.view(np.float64)
+    for c in _chunks(len(x)):
+        np.divide(counts[c], scale, out=x[c])
+        np.subtract(offset, x[c], out=x[c])
+    return x
+
+
 def _report(estimates: np.ndarray, analytic: float) -> SimReport:
-    std = float(np.std(estimates, ddof=1))
+    """Sample mean and std (ddof = 1) as np.mean and np.std compute them,
+    bit for bit, with the deviations squared in place in estimates."""
+    n = len(estimates)
+    mean = np.add.reduce(estimates) / n
+    np.subtract(estimates, mean, out=estimates)
+    np.multiply(estimates, estimates, out=estimates)
+    std = math.sqrt(np.add.reduce(estimates) / (n - 1))
     return SimReport(
-        estimate_mean=float(np.mean(estimates)),
+        estimate_mean=float(mean),
         estimate_std=std,
-        std_error_of_std=std / math.sqrt(2.0 * len(estimates)),
+        std_error_of_std=std / math.sqrt(2.0 * n),
         analytic_reference=analytic,
     )
 
@@ -112,11 +135,10 @@ def simulate_coherent_mz(cfg: SimConfig) -> SimReport:
     mean_a = eta * n0 * (1.0 + math.cos(cfg.phase)) / 2.0
     mean_b = eta * n0 * (1.0 - math.cos(cfg.phase)) / 2.0
     diff = rng.poisson(mean_a, cfg.trials)
-    diff -= rng.poisson(mean_b, cfg.trials)
-    phi_hat = diff / (eta * n0)
-    del diff
-    np.subtract(math.pi / 2.0, phi_hat, out=phi_hat)
-    return _report(phi_hat, 1.0 / math.sqrt(eta * n0))
+    for c in _chunks(cfg.trials):
+        diff[c] -= rng.poisson(mean_b, len(diff[c]))
+    return _report(_estimates(diff, math.pi / 2.0, eta * n0),
+                   1.0 / math.sqrt(eta * n0))
 
 
 def simulate_noon_fringe(n_phase_points: int, trials: int,
@@ -190,16 +212,22 @@ def simulate_hom(trials: int, distinguishable: bool,
     """Cross-detector coincidence rate behind a balanced beam splitter.
 
     Indistinguishable pairs bunch: both photons take the same (random) port
-    every trial, so the cross rate is exactly 0. Distinguishable photons
-    route independently and coincide half the time.
+    every trial, so the cross rate is exactly 0 whatever port they take, and
+    none is drawn. Distinguishable photons route independently and coincide
+    half the time.
     """
     require_int(trials, "trials", *HOM_TRIALS)
     rng = _generator(seed, _STREAM_HOM)
-    port_1 = rng.integers(0, 2, trials).astype(bool)
-    # an indistinguishable pair's second photon follows the first
-    port_2 = (rng.integers(0, 2, trials).astype(bool) if distinguishable
-              else port_1)
-    return float(np.mean(port_1 != port_2))
+    if not distinguishable:
+        return 0.0
+    port_1 = np.empty(trials, dtype=bool)
+    for c in _chunks(trials):
+        port_1[c] = rng.integers(0, 2, len(port_1[c]))
+    cross = 0
+    for c in _chunks(trials):
+        first = port_1[c]
+        cross += np.count_nonzero(first != rng.integers(0, 2, len(first)))
+    return float(cross / trials)
 
 
 def simulate_homodyne_squeezed(cfg: SimConfig, v_sqz: float) -> SimReport:
@@ -209,6 +237,9 @@ def simulate_homodyne_squeezed(cfg: SimConfig, v_sqz: float) -> SimReport:
     with mean 2*sqrt(eta)*alpha*phi and variance eta*v_sqz + (1-eta), then
     inverts the mean: phi_hat = y/(2*alpha*sqrt(eta)). The analytic std is
     sqrt(v_sqz + (1-eta)/eta)/(2*alpha).
+
+    The samples come from the assumed Gaussian noise model itself, so this
+    checks the estimator and its analytic std, not the noise model.
     """
     require_in(v_sqz, "v_sqz", *POSITIVE)
     require_int(cfg.trials, "trials", *STD_TRIALS)
@@ -246,9 +277,8 @@ def simulate_heralded_absorption(alpha_true: float, n_sig: int, heralded: bool,
         k = rng.binomial(n_sig, 1.0 - alpha_true, trials)
         var = alpha_true * (1.0 - alpha_true) / n_sig
     else:
-        k = rng.binomial(rng.poisson(n_sig, trials), 1.0 - alpha_true)
+        k = rng.poisson(n_sig, trials)  # the source counts, then thinned
+        for c in _chunks(trials):
+            k[c] = rng.binomial(k[c], 1.0 - alpha_true)
         var = (1.0 - alpha_true) / n_sig
-    alpha_hat = k / n_sig
-    del k
-    np.subtract(1.0, alpha_hat, out=alpha_hat)
-    return _report(alpha_hat, math.sqrt(var))
+    return _report(_estimates(k, 1.0, n_sig), math.sqrt(var))

@@ -295,6 +295,58 @@ def noon_postselected_precision(n: int, eta: float, trials: int, repeats: int,
     return std, std / math.sqrt(2.0 * len(est))
 
 
+# The seeded simulations drawn in one shot: each draw stage as one whole
+# sampler call, then np.mean and np.std(ddof=1). The library draws its second
+# stage in chunks and takes the moments in place; both must give these
+# numbers bit for bit. Streams are the library's per-experiment constants.
+
+def _philox(seed: int, stream: int) -> np.random.Generator:
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _moments(estimates) -> tuple[float, float, float]:
+    """(mean, std, std error of the std) of a SimReport."""
+    std = float(np.std(estimates, ddof=1))
+    return (float(np.mean(estimates)), std,
+            std / math.sqrt(2.0 * len(estimates)))
+
+
+def one_shot_mz(seed: int, trials: int, phase: float, n0: float,
+                eta: float) -> tuple[float, float, float]:
+    rng = _philox(seed, 11)
+    n_a = rng.poisson(eta * n0 * (1.0 + math.cos(phase)) / 2.0, trials)
+    n_b = rng.poisson(eta * n0 * (1.0 - math.cos(phase)) / 2.0, trials)
+    return _moments(math.pi / 2.0 - (n_a - n_b) / (eta * n0))
+
+
+def one_shot_hom(seed: int, trials: int, distinguishable: bool) -> float:
+    rng = _philox(seed, 13)
+    port_1 = rng.integers(0, 2, trials).astype(bool)
+    port_2 = (rng.integers(0, 2, trials).astype(bool) if distinguishable
+              else port_1)
+    return float(np.mean(port_1 != port_2))
+
+
+def one_shot_homodyne(seed: int, trials: int, phase: float, alpha2: float,
+                      eta: float, v_sqz: float) -> tuple[float, float, float]:
+    rng = _philox(seed, 14)
+    alpha = math.sqrt(alpha2)
+    y = rng.normal(2.0 * math.sqrt(eta) * alpha * phase,
+                   math.sqrt(eta * v_sqz + (1.0 - eta)), trials)
+    return _moments(y / (2.0 * alpha * math.sqrt(eta)))
+
+
+def one_shot_absorption(seed: int, trials: int, alpha_true: float, n_sig: int,
+                        heralded: bool) -> tuple[float, float, float]:
+    rng = _philox(seed, 15)
+    if heralded:
+        k = rng.binomial(n_sig, 1.0 - alpha_true, trials)
+    else:
+        k = rng.binomial(rng.poisson(n_sig, trials), 1.0 - alpha_true)
+    return _moments(1.0 - k / n_sig)
+
+
 # -- serialization ---------------------------------------------------------
 # The dataset writers as first written, one Python call per cell or per JSON
 # token; the library's column-wise writers must reproduce their bytes.

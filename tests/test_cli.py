@@ -293,6 +293,18 @@ def test_n_det_support_refused_before_allocating(argv, capsys):
     assert peak < 10 * 2**20
 
 
+@pytest.mark.parametrize("detector, flags, said", [
+    ("number-resolving", ["--n-det", "3"], "observation impossible"),
+    ("bucket", [], "bucket click impossible")])
+def test_probe_side_refuses_a_count_without_pairs(detector, flags, said,
+                                                  capsys):
+    # at --epsilon 0 no pair exists, as on the detector side
+    assert run(["condition", "--side", "probe", "--detector", detector,
+                "--epsilon", "0", "--eta", "0.5", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and said in err
+
+
 def test_posterior_past_the_prior_bulk_answers(capsys):
     # n_det = 60 lies past the eps = 0.5 prior's 1e-16 point (54)
     assert run(["condition", "--side", "detector", "--detector",

@@ -112,6 +112,11 @@ def test_probe_bucket_against_enumeration():
         assert got.pmf.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_probe_bucket_refuses_a_click_without_pairs():
+    with pytest.raises(ValueError, match="bucket click impossible"):
+        condition_probe_bucket(PdcTwinBeam(0.0), LossChannel(0.5))
+
+
 def test_probe_bucket_lossless_is_shifted_geometric():
     got = condition_probe_bucket(PdcTwinBeam(0.5), LossChannel(1.0))
     assert got.pmf[0] == 0.0

@@ -49,6 +49,15 @@ def test_fig_limits_validation():
         fig_limits(eta_list=())
 
 
+def test_fig_limits_n_sig_ends_at_the_photon_cap():
+    # past 1e154 photons n^2 overflows the squeezed-vacuum bound; the grid
+    # is refused by name first, and the cap itself still answers
+    with pytest.raises(ValueError, match="n_sig grid"):
+        fig_limits([1.0, 1e160])
+    ds = fig_limits([1.0, 1e18])
+    assert all(np.all(np.isfinite(c)) for c in ds.columns.values())
+
+
 def test_fig_noon_loss_crosses_unity():
     grid = np.linspace(0.7, 0.82, 25)
     ds = fig_noon_loss(grid)
@@ -136,6 +145,18 @@ def test_fig_conditional_metadata_and_errors():
         fig_conditional("sample", DetectorKind.BUCKET)
     with pytest.raises(ValueError):
         fig_conditional(PROBE, DetectorKind.BUCKET, eta_list=())
+
+
+@pytest.mark.parametrize("side", [PROBE, DETECTOR])
+def test_fig_conditional_refuses_a_count_without_pairs(side):
+    # at epsilon = 0 no pair exists: both sides refuse a count above 0 and a
+    # click, and answer a count of 0
+    with pytest.raises(ValueError, match="observation impossible"):
+        fig_conditional(side, DetectorKind.NUMBER_RESOLVING, (0.5,), 0.0, 3)
+    with pytest.raises(ValueError, match="bucket click impossible"):
+        fig_conditional(side, DetectorKind.BUCKET, (0.5,), 0.0)
+    ds = fig_conditional(side, DetectorKind.NUMBER_RESOLVING, (0.5,), 0.0, 0)
+    assert list(ds.columns["pmf_eta_0.5"]) == [1.0]
 
 
 @pytest.mark.parametrize("build, name", [

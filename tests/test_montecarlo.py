@@ -1,9 +1,12 @@
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from qoptkit import (
     DEFAULT_SEED,
     SimConfig,
@@ -15,6 +18,8 @@ from qoptkit import (
     simulate_noon_fringe,
     squeezed_precision,
 )
+from qoptkit.domain import MAX_TRIALS
+from qoptkit.montecarlo import CHUNK
 
 
 def test_sim_config_validation():
@@ -168,26 +173,76 @@ def test_absorption_deterministic():
     assert a == b
 
 
+# trial counts around the chunk edges of the second draw stage
+CHUNK_EDGES = [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+
+
+def _moments(report):
+    return (report.estimate_mean, report.estimate_std,
+            report.std_error_of_std)
+
+
+@pytest.mark.parametrize("trials", CHUNK_EDGES)
+def test_simulations_equal_the_one_shot_draws_at_chunk_edges(trials):
+    # chunked draws and in-place moments reproduce one whole sampler call
+    # per stage followed by np.mean and np.std(ddof=1), bit for bit
+    cfg = SimConfig(seed=trials, trials=trials, phase=1.8, n_photons=4.7e4,
+                    eta=0.3)
+    assert _moments(simulate_coherent_mz(cfg)) == oracles.one_shot_mz(
+        trials, trials, 1.8, 4.7e4, 0.3)
+    assert _moments(simulate_homodyne_squeezed(cfg, 0.4)) == \
+        oracles.one_shot_homodyne(trials, trials, 1.8, 4.7e4, 0.3, 0.4)
+    for heralded in (True, False):
+        got = simulate_heralded_absorption(0.2, 37, heralded, trials, 5)
+        assert _moments(got) == oracles.one_shot_absorption(
+            5, trials, 0.2, 37, heralded)
+    for distinguishable in (True, False):
+        rate = simulate_hom(trials, distinguishable, seed=trials)
+        assert type(rate) is float
+        assert rate == oracles.one_shot_hom(trials, trials, distinguishable)
+
+
 MEMORY_TRIALS = 200_000
 
 
 @pytest.mark.parametrize("simulate, bytes_per_trial", [
-    (lambda n: simulate_coherent_mz(SimConfig(trials=n)), 16),
+    (lambda n: simulate_coherent_mz(SimConfig(trials=n)), 8),
     (lambda n: simulate_homodyne_squeezed(
-        SimConfig(trials=n, n_photons=100.0, eta=0.8), 0.5), 16),
-    (lambda n: simulate_heralded_absorption(0.1, 10_000, True, n), 16),
-    (lambda n: simulate_heralded_absorption(0.1, 10_000, False, n), 16),
-    (lambda n: simulate_hom(n, distinguishable=True), 10),
-    (lambda n: simulate_hom(n, distinguishable=False), 10),
+        SimConfig(trials=n, n_photons=100.0, eta=0.8), 0.5), 8),
+    (lambda n: simulate_heralded_absorption(0.1, 10_000, True, n), 8),
+    (lambda n: simulate_heralded_absorption(0.1, 10_000, False, n), 8),
+    (lambda n: simulate_hom(n, distinguishable=True), 1),
+    (lambda n: simulate_hom(n, distinguishable=False), 0),
 ], ids=["mz", "homodyne", "absorption-heralded", "absorption-coherent",
         "hom-distinguishable", "hom-indistinguishable"])
-def test_simulation_holds_at_most_two_trial_arrays(simulate, bytes_per_trial):
-    # two 8-byte arrays of the trial length, or for HOM one 8-byte draw
-    # and two boolean ports, plus a fixed allowance for the generator
+def test_simulation_holds_at_most_one_trial_array(simulate, bytes_per_trial):
+    # one 8-byte array of the trial length, or for distinguishable HOM one
+    # boolean port; plus a few int64 chunks (the second stage's draws and the
+    # copies a conversion makes) and the generator
     tracemalloc.start()
     try:
         simulate(MEMORY_TRIALS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bytes_per_trial * MEMORY_TRIALS + 256 * 2**10
+    assert peak <= bytes_per_trial * MEMORY_TRIALS + 32 * CHUNK
+
+
+def _max_rss_kib(*argv):
+    """ru_maxrss of a fresh `python -m qoptkit.cli` process, in KiB."""
+    pid = os.posix_spawn(
+        sys.executable, [sys.executable, "-m", "qoptkit.cli", *argv],
+        os.environ,
+        file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss
+
+
+def test_largest_simulation_adds_one_trial_array_in_a_fresh_process():
+    # at MAX_TRIALS the MZ run may add 8 bytes per trial (64 MiB) to a
+    # 100-trial run, plus 16 MiB for chunks and allocator slack; a second
+    # trial-sized array would add 64 MiB more
+    small = _max_rss_kib("simulate", "mz", "--trials", "100")
+    large = _max_rss_kib("simulate", "mz", "--trials", str(MAX_TRIALS))
+    assert large - small <= (8 * MAX_TRIALS + 16 * 2**20) // 1024
