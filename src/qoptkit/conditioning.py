@@ -94,17 +94,18 @@ def apply_loss(d: PhotonDistribution, channel: LossChannel) -> PhotonDistributio
     return PhotonDistribution(np.minimum(h[: len(d.pmf)], 1.0))
 
 
-def condition_probe_number_resolving(n_det: int,
+def condition_probe_number_resolving(state: PdcTwinBeam, n_det: int,
                                      probe_loss: LossChannel) -> PhotonDistribution:
     """Probe statistics after an ideal N_det count, with loss before the sample.
 
     Perfect twin-beam correlation plus a perfect counter pins the probe at
     exactly n_det photons; thinning then gives Binomial(n_det, eta). The
-    sample can never see more than n_det photons. The count is taken as
-    given: whether the source can yield it is domain.require_observable's
-    question, which fig_conditional asks.
+    sample can never see more than n_det photons. At eps = 0 no pair exists,
+    and a count above 0 is refused as impossible.
     """
-    k = np.arange(check_size(require_int(n_det, "n_det", *N_DET) + 1))
+    require_int(n_det, "n_det", *N_DET)
+    require_observable(n_det, state.epsilon, 1.0)
+    k = np.arange(check_size(n_det + 1))
     return PhotonDistribution(binomial_pmf(k, n_det, probe_loss.eta))
 
 

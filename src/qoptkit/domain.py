@@ -11,11 +11,11 @@ import math
 
 import numpy as np
 
-# Each size limit keeps the largest call near 250 MB: a heralding posterior
-# holds about a dozen float arrays of its support length, and a conditional
-# table at most that many cells; a grid dataset about 250 bytes per cell
-# through serialization, a simulation 8 bytes per trial in its one
-# trial-sized array (67 MB).
+# MAX_SUPPORT and MAX_CELLS keep the largest call near 250 MB: a heralding
+# posterior holds about a dozen float arrays of its support length, and a
+# conditional table at most that many cells; a grid dataset about 250 bytes
+# per cell through serialization. A simulation streams its trials in chunks,
+# so MAX_TRIALS bounds its run time, not its memory.
 MAX_SUPPORT = 2**21
 MAX_CELLS = 2**20
 MAX_TRIALS = 2**23

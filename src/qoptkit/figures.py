@@ -14,8 +14,7 @@ from . import conditioning as cond
 from .conditioning import DetectorKind, LossChannel
 from .dataset import Axis, FigureDataset
 from .domain import (COMPARE_N_SIG, EFFICIENCY, MAX_CELLS, ONE_PHOTON_N_SIG,
-                     TRANSMISSION, check_size, require_grid, require_in,
-                     require_observable)
+                     TRANSMISSION, check_size, require_grid, require_in)
 from .limits import (PowerConstraint, heisenberg, loss_bound, sql_sample,
                      squeezed_vacuum_crb)
 from .noon import noon_best_precision, noon_optimal_n
@@ -218,9 +217,7 @@ def _panel_pmf(side: str, detector: DetectorKind, state: PdcTwinBeam,
     channel = LossChannel(eta)
     if side == PROBE:
         if detector is DetectorKind.NUMBER_RESOLVING:
-            # the count is ideal, so only a source with no pairs rules it out
-            require_observable(n_det, state.epsilon, 1.0)
-            return cond.condition_probe_number_resolving(n_det, channel)
+            return cond.condition_probe_number_resolving(state, n_det, channel)
         return cond.condition_probe_bucket(state, channel)
     if side == DETECTOR:
         if detector is DetectorKind.NUMBER_RESOLVING:

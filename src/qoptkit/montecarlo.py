@@ -15,10 +15,12 @@ Sampling model per experiment:
 
 Reproducibility contract: every draw comes from a counter-based Philox
 generator keyed by (seed, stream constant), one stream per experiment, with
-all draws vectorized in a fixed order. Same seed, same numbers, bit for bit,
-regardless of how results are later aggregated. One trial-sized array is
-live at once: the first draw stage fills it whole, then the second is drawn
-into it in chunks of CHUNK trials, which gives the numbers of one call.
+all draws vectorized in a fixed order. Same seed, same numbers, bit for bit.
+The trials run in chunks of CHUNK; each chunk draws all of its stages in turn
+and folds its estimates' moments into a running (n, mean, M2) by the pairwise
+update of Chan, Golub and LeVeque (Am. Stat. 37, 242 (1983)), so memory does
+not grow with the trial count. A run of at most CHUNK trials gives np.mean and
+np.std(ddof=1) of one sampler call per stage, bit for bit.
 """
 from __future__ import annotations
 
@@ -35,8 +37,8 @@ from .domain import (ABSORPTION, ABSORPTION_N_SIG, EFFICIENCY, HOM_TRIALS,
 from .squeezed import squeezed_precision
 
 DEFAULT_SEED = 97531
-# trials per chunk of a second draw stage or an in-place conversion
-CHUNK = 2**13
+# trials per chunk: every CLI default and golden (at most 10 000) is one
+CHUNK = 2**14
 
 # Stream constants: one per experiment so adding draws to one simulation
 # never shifts the numbers of another.
@@ -90,28 +92,30 @@ class SimReport:
     analytic_reference: float
 
 
-def _chunks(n: int):
-    """The slices of range(n) CHUNK trials long, in order."""
-    return (slice(i, i + CHUNK) for i in range(0, n, CHUNK))
+def _chunk_lengths(n: int):
+    """The lengths of the chunks of n trials: CHUNK each, the last shorter."""
+    return (min(CHUNK, n - i) for i in range(0, n, CHUNK))
 
 
-def _estimates(counts: np.ndarray, offset: float, scale: float) -> np.ndarray:
-    """offset - counts/scale as float64 in counts' buffer, chunk by chunk."""
-    x = counts.view(np.float64)
-    for c in _chunks(len(x)):
-        np.divide(counts[c], scale, out=x[c])
-        np.subtract(offset, x[c], out=x[c])
-    return x
+def _report(trials: int, estimates, analytic: float) -> SimReport:
+    """Sample mean and std (ddof = 1) of estimates(m) over chunks of trials.
 
-
-def _report(estimates: np.ndarray, analytic: float) -> SimReport:
-    """Sample mean and std (ddof = 1) as np.mean and np.std compute them,
-    bit for bit, with the deviations squared in place in estimates."""
-    n = len(estimates)
-    mean = np.add.reduce(estimates) / n
-    np.subtract(estimates, mean, out=estimates)
-    np.multiply(estimates, estimates, out=estimates)
-    std = math.sqrt(np.add.reduce(estimates) / (n - 1))
+    Each chunk's mean is np.add.reduce(x)/m and its M2 the sum of the
+    deviations squared in place in x, as np.mean and np.std compute them;
+    the chunks merge pairwise (Chan, Golub and LeVeque), which leaves the
+    first chunk's mean and M2 exactly as they are.
+    """
+    n, mean, m2 = 0, 0.0, 0.0
+    for m in _chunk_lengths(trials):
+        x = estimates(m)
+        x_mean = np.add.reduce(x) / m
+        np.subtract(x, x_mean, out=x)
+        np.multiply(x, x, out=x)
+        delta = x_mean - mean
+        n += m
+        mean += delta * (m / n)
+        m2 += np.add.reduce(x) + delta * delta * ((n - m) * m / n)
+    std = math.sqrt(m2 / (n - 1))
     return SimReport(
         estimate_mean=float(mean),
         estimate_std=std,
@@ -134,11 +138,9 @@ def simulate_coherent_mz(cfg: SimConfig) -> SimReport:
     rng = _generator(cfg.seed, _STREAM_MZ)
     mean_a = eta * n0 * (1.0 + math.cos(cfg.phase)) / 2.0
     mean_b = eta * n0 * (1.0 - math.cos(cfg.phase)) / 2.0
-    diff = rng.poisson(mean_a, cfg.trials)
-    for c in _chunks(cfg.trials):
-        diff[c] -= rng.poisson(mean_b, len(diff[c]))
-    return _report(_estimates(diff, math.pi / 2.0, eta * n0),
-                   1.0 / math.sqrt(eta * n0))
+    return _report(cfg.trials, lambda m: math.pi / 2.0 - (
+        rng.poisson(mean_a, m) - rng.poisson(mean_b, m)) / (eta * n0),
+        1.0 / math.sqrt(eta * n0))
 
 
 def simulate_noon_fringe(n_phase_points: int, trials: int,
@@ -220,13 +222,8 @@ def simulate_hom(trials: int, distinguishable: bool,
     rng = _generator(seed, _STREAM_HOM)
     if not distinguishable:
         return 0.0
-    port_1 = np.empty(trials, dtype=bool)
-    for c in _chunks(trials):
-        port_1[c] = rng.integers(0, 2, len(port_1[c]))
-    cross = 0
-    for c in _chunks(trials):
-        first = port_1[c]
-        cross += np.count_nonzero(first != rng.integers(0, 2, len(first)))
+    cross = sum(np.count_nonzero(rng.integers(0, 2, m) != rng.integers(0, 2, m))
+                for m in _chunk_lengths(trials))
     return float(cross / trials)
 
 
@@ -254,9 +251,9 @@ def simulate_homodyne_squeezed(cfg: SimConfig, v_sqz: float) -> SimReport:
     rng = _generator(cfg.seed, _STREAM_HOMODYNE)
     mean = 2.0 * math.sqrt(eta) * alpha * cfg.phase
     sigma = math.sqrt(eta * v_sqz + (1.0 - eta))
-    phi_hat = rng.normal(mean, sigma, cfg.trials)
-    phi_hat /= 2.0 * alpha * math.sqrt(eta)
-    return _report(phi_hat, squeezed_precision(alpha, v_sqz, eta))
+    scale = 2.0 * alpha * math.sqrt(eta)
+    return _report(cfg.trials, lambda m: rng.normal(mean, sigma, m) / scale,
+                   squeezed_precision(alpha, v_sqz, eta))
 
 
 def simulate_heralded_absorption(alpha_true: float, n_sig: int, heralded: bool,
@@ -274,11 +271,12 @@ def simulate_heralded_absorption(alpha_true: float, n_sig: int, heralded: bool,
     require_int(trials, "trials", *STD_TRIALS)
     rng = _generator(seed, _STREAM_ABSORPTION)
     if heralded:
-        k = rng.binomial(n_sig, 1.0 - alpha_true, trials)
+        def transmitted(m):
+            return rng.binomial(n_sig, 1.0 - alpha_true, m)
         var = alpha_true * (1.0 - alpha_true) / n_sig
     else:
-        k = rng.poisson(n_sig, trials)  # the source counts, then thinned
-        for c in _chunks(trials):
-            k[c] = rng.binomial(k[c], 1.0 - alpha_true)
+        def transmitted(m):  # the source counts, then thinned
+            return rng.binomial(rng.poisson(n_sig, m), 1.0 - alpha_true)
         var = (1.0 - alpha_true) / n_sig
-    return _report(_estimates(k, 1.0, n_sig), math.sqrt(var))
+    return _report(trials, lambda m: 1.0 - transmitted(m) / n_sig,
+                   math.sqrt(var))

@@ -295,10 +295,11 @@ def noon_postselected_precision(n: int, eta: float, trials: int, repeats: int,
     return std, std / math.sqrt(2.0 * len(est))
 
 
-# The seeded simulations drawn in one shot: each draw stage as one whole
-# sampler call, then np.mean and np.std(ddof=1). The library draws its second
-# stage in chunks and takes the moments in place; both must give these
-# numbers bit for bit. Streams are the library's per-experiment constants.
+# The seeded simulations in their draw order: the trials run in chunks of
+# `chunk`, each chunk draws its stages in turn with one sampler call each, and
+# the moments are np.mean and np.std(ddof=1) of all the estimates. With chunk
+# >= trials that is one whole sampler call per stage, the order every golden
+# output was drawn in. Streams are the library's per-experiment constants.
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
     key = np.array([seed, stream], dtype=np.uint64)
@@ -312,39 +313,56 @@ def _moments(estimates) -> tuple[float, float, float]:
             std / math.sqrt(2.0 * len(estimates)))
 
 
-def one_shot_mz(seed: int, trials: int, phase: float, n0: float,
+def _in_chunks(trials: int, chunk: int, draw) -> np.ndarray:
+    """draw(m) for each chunk of m trials, in order, concatenated."""
+    return np.concatenate([draw(min(chunk, trials - i))
+                           for i in range(0, trials, chunk)])
+
+
+def streamed_mz(seed: int, trials: int, chunk: int, phase: float, n0: float,
                 eta: float) -> tuple[float, float, float]:
     rng = _philox(seed, 11)
-    n_a = rng.poisson(eta * n0 * (1.0 + math.cos(phase)) / 2.0, trials)
-    n_b = rng.poisson(eta * n0 * (1.0 - math.cos(phase)) / 2.0, trials)
-    return _moments(math.pi / 2.0 - (n_a - n_b) / (eta * n0))
+
+    def count_difference(m):
+        n_a = rng.poisson(eta * n0 * (1.0 + math.cos(phase)) / 2.0, m)
+        n_b = rng.poisson(eta * n0 * (1.0 - math.cos(phase)) / 2.0, m)
+        return n_a - n_b
+    diff = _in_chunks(trials, chunk, count_difference)
+    return _moments(math.pi / 2.0 - diff / (eta * n0))
 
 
-def one_shot_hom(seed: int, trials: int, distinguishable: bool) -> float:
+def streamed_hom(seed: int, trials: int, chunk: int,
+                 distinguishable: bool) -> float:
     rng = _philox(seed, 13)
-    port_1 = rng.integers(0, 2, trials).astype(bool)
-    port_2 = (rng.integers(0, 2, trials).astype(bool) if distinguishable
-              else port_1)
-    return float(np.mean(port_1 != port_2))
+
+    def split(m):
+        port_1 = rng.integers(0, 2, m).astype(bool)
+        port_2 = (rng.integers(0, 2, m).astype(bool) if distinguishable
+                  else port_1)
+        return port_1 != port_2
+    return float(np.mean(_in_chunks(trials, chunk, split)))
 
 
-def one_shot_homodyne(seed: int, trials: int, phase: float, alpha2: float,
-                      eta: float, v_sqz: float) -> tuple[float, float, float]:
+def streamed_homodyne(seed: int, trials: int, chunk: int, phase: float,
+                      alpha2: float, eta: float,
+                      v_sqz: float) -> tuple[float, float, float]:
     rng = _philox(seed, 14)
     alpha = math.sqrt(alpha2)
-    y = rng.normal(2.0 * math.sqrt(eta) * alpha * phase,
-                   math.sqrt(eta * v_sqz + (1.0 - eta)), trials)
+    y = _in_chunks(trials, chunk, lambda m: rng.normal(
+        2.0 * math.sqrt(eta) * alpha * phase,
+        math.sqrt(eta * v_sqz + (1.0 - eta)), m))
     return _moments(y / (2.0 * alpha * math.sqrt(eta)))
 
 
-def one_shot_absorption(seed: int, trials: int, alpha_true: float, n_sig: int,
-                        heralded: bool) -> tuple[float, float, float]:
+def streamed_absorption(seed: int, trials: int, chunk: int, alpha_true: float,
+                        n_sig: int, heralded: bool) -> tuple[float, float, float]:
     rng = _philox(seed, 15)
-    if heralded:
-        k = rng.binomial(n_sig, 1.0 - alpha_true, trials)
-    else:
-        k = rng.binomial(rng.poisson(n_sig, trials), 1.0 - alpha_true)
-    return _moments(1.0 - k / n_sig)
+
+    def transmitted(m):
+        if heralded:
+            return rng.binomial(n_sig, 1.0 - alpha_true, m)
+        return rng.binomial(rng.poisson(n_sig, m), 1.0 - alpha_true)
+    return _moments(1.0 - _in_chunks(trials, chunk, transmitted) / n_sig)
 
 
 # -- serialization ---------------------------------------------------------

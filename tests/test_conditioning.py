@@ -95,13 +95,15 @@ def test_thinning_preserves_g2(ws, eta):
 
 def test_probe_number_resolving_support_bound():
     # ideal count + perfect correlation caps the probe at n_det photons
-    d = condition_probe_number_resolving(3, LossChannel(0.6))
+    d = condition_probe_number_resolving(PdcTwinBeam(0.5), 3,
+                                         LossChannel(0.6))
     assert d.n_max == 3  # P(N > N_det) = 0 by construction
     for k in range(4):
         assert d.pmf[k] == pytest.approx(
             math.comb(3, k) * 0.6**k * 0.4 ** (3 - k), rel=1e-12)
     with pytest.raises(ValueError):
-        condition_probe_number_resolving(-1, LossChannel(0.6))
+        condition_probe_number_resolving(PdcTwinBeam(0.5), -1,
+                                         LossChannel(0.6))
 
 
 def test_probe_bucket_against_enumeration():
@@ -110,6 +112,15 @@ def test_probe_bucket_against_enumeration():
         want = oracles.probe_side_bucket(0.5, eta)
         assert oracles.total_variation(got.pmf, want) < 1e-12
         assert got.pmf.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_probe_number_resolving_refuses_a_count_without_pairs():
+    with pytest.raises(ValueError, match="observation impossible"):
+        condition_probe_number_resolving(PdcTwinBeam(0.0), 3, LossChannel(0.5))
+    # no count at all is what eps = 0 always gives
+    got = condition_probe_number_resolving(PdcTwinBeam(0.0), 0,
+                                           LossChannel(0.5))
+    assert got.pmf.tolist() == [1.0]
 
 
 def test_probe_bucket_refuses_a_click_without_pairs():

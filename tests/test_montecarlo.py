@@ -1,5 +1,5 @@
 import math
-import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -20,6 +20,9 @@ from qoptkit import (
 )
 from qoptkit.domain import MAX_TRIALS
 from qoptkit.montecarlo import CHUNK
+
+# chunk-sized float64 arrays a simulation may hold at its peak
+PEAK_CHUNKS = 6
 
 
 def test_sim_config_validation():
@@ -173,76 +176,106 @@ def test_absorption_deterministic():
     assert a == b
 
 
-# trial counts around the chunk edges of the second draw stage
-CHUNK_EDGES = [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
-
-
 def _moments(report):
     return (report.estimate_mean, report.estimate_std,
             report.std_error_of_std)
 
 
-@pytest.mark.parametrize("trials", CHUNK_EDGES)
-def test_simulations_equal_the_one_shot_draws_at_chunk_edges(trials):
-    # chunked draws and in-place moments reproduce one whole sampler call
-    # per stage followed by np.mean and np.std(ddof=1), bit for bit
+def _simulations(trials, chunk):
+    """(report moments, oracle moments) of each SimReport simulation at
+    trials, the oracle drawing in chunks of chunk trials."""
     cfg = SimConfig(seed=trials, trials=trials, phase=1.8, n_photons=4.7e4,
                     eta=0.3)
-    assert _moments(simulate_coherent_mz(cfg)) == oracles.one_shot_mz(
-        trials, trials, 1.8, 4.7e4, 0.3)
-    assert _moments(simulate_homodyne_squeezed(cfg, 0.4)) == \
-        oracles.one_shot_homodyne(trials, trials, 1.8, 4.7e4, 0.3, 0.4)
+    yield (_moments(simulate_coherent_mz(cfg)),
+           oracles.streamed_mz(trials, trials, chunk, 1.8, 4.7e4, 0.3))
+    yield (_moments(simulate_homodyne_squeezed(cfg, 0.4)),
+           oracles.streamed_homodyne(trials, trials, chunk, 1.8, 4.7e4, 0.3,
+                                     0.4))
     for heralded in (True, False):
-        got = simulate_heralded_absorption(0.2, 37, heralded, trials, 5)
-        assert _moments(got) == oracles.one_shot_absorption(
-            5, trials, 0.2, 37, heralded)
+        yield (_moments(simulate_heralded_absorption(0.2, 37, heralded,
+                                                     trials, 5)),
+               oracles.streamed_absorption(5, trials, chunk, 0.2, 37,
+                                           heralded))
+
+
+def _check_hom(trials, chunk):
     for distinguishable in (True, False):
         rate = simulate_hom(trials, distinguishable, seed=trials)
         assert type(rate) is float
-        assert rate == oracles.one_shot_hom(trials, trials, distinguishable)
+        assert rate == oracles.streamed_hom(trials, trials, chunk,
+                                            distinguishable)
 
 
-MEMORY_TRIALS = 200_000
+@pytest.mark.parametrize("trials", [CHUNK - 1, CHUNK])
+def test_one_chunk_equals_the_whole_call_draws(trials):
+    # up to CHUNK trials a run is one chunk: one sampler call per stage, then
+    # np.mean and np.std(ddof=1), bit for bit; so every golden and CLI default
+    # (at most 10 000 trials) keeps the bytes of the whole-call draws
+    for chunk in (CHUNK, trials):  # the streamed order, then the whole call
+        for got, want in _simulations(trials, chunk):
+            assert got == want
+        _check_hom(trials, chunk)
 
 
-@pytest.mark.parametrize("simulate, bytes_per_trial", [
-    (lambda n: simulate_coherent_mz(SimConfig(trials=n)), 8),
-    (lambda n: simulate_homodyne_squeezed(
-        SimConfig(trials=n, n_photons=100.0, eta=0.8), 0.5), 8),
-    (lambda n: simulate_heralded_absorption(0.1, 10_000, True, n), 8),
-    (lambda n: simulate_heralded_absorption(0.1, 10_000, False, n), 8),
-    (lambda n: simulate_hom(n, distinguishable=True), 1),
-    (lambda n: simulate_hom(n, distinguishable=False), 0),
+@pytest.mark.parametrize("trials", [CHUNK + 1, 3 * CHUNK + 7])
+def test_many_chunks_equal_the_streamed_draws(trials):
+    # past one chunk the stages alternate chunk by chunk; the moments merged
+    # across chunks differ from np.mean and np.std of all the estimates only
+    # by rounding
+    for got, want in _simulations(trials, CHUNK):
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    _check_hom(trials, CHUNK)
+
+
+@pytest.mark.parametrize("simulate", [
+    lambda n: simulate_coherent_mz(SimConfig(trials=n)),
+    lambda n: simulate_homodyne_squeezed(
+        SimConfig(trials=n, n_photons=100.0, eta=0.8), 0.5),
+    lambda n: simulate_heralded_absorption(0.1, 10_000, True, n),
+    lambda n: simulate_heralded_absorption(0.1, 10_000, False, n),
+    lambda n: simulate_hom(n, distinguishable=True),
+    lambda n: simulate_hom(n, distinguishable=False),
 ], ids=["mz", "homodyne", "absorption-heralded", "absorption-coherent",
         "hom-distinguishable", "hom-indistinguishable"])
-def test_simulation_holds_at_most_one_trial_array(simulate, bytes_per_trial):
-    # one 8-byte array of the trial length, or for distinguishable HOM one
-    # boolean port; plus a few int64 chunks (the second stage's draws and the
-    # copies a conversion makes) and the generator
-    tracemalloc.start()
-    try:
-        simulate(MEMORY_TRIALS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bytes_per_trial * MEMORY_TRIALS + 32 * CHUNK
+def test_simulation_holds_no_trial_array(simulate):
+    # after a warm-up run, a few chunk-sized arrays (the draws, the estimates
+    # and their deviations) and the generator, whatever the trial count
+    simulate(CHUNK + 1)
+    for trials in (200_000, 2_000_000):
+        tracemalloc.start()
+        try:
+            simulate(trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= PEAK_CHUNKS * 8 * CHUNK, (trials, peak)
 
 
 def _max_rss_kib(*argv):
-    """ru_maxrss of a fresh `python -m qoptkit.cli` process, in KiB."""
-    pid = os.posix_spawn(
-        sys.executable, [sys.executable, "-m", "qoptkit.cli", *argv],
-        os.environ,
-        file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
-    _, status, usage = os.wait4(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    return usage.ru_maxrss
+    """Peak RSS (VmHWM) of a fresh process running the CLI on argv, in KiB.
+
+    The child reads its own: the ru_maxrss that wait4 reports would carry
+    the spawning process's peak across the exec.
+    """
+    child = ("import sys\n"
+             "from qoptkit.cli import run\n"
+             "status = run(sys.argv[1:])\n"
+             "with open('/proc/self/status') as f:\n"
+             "    hwm = [l for l in f if l.startswith('VmHWM:')]\n"
+             "print(hwm[0].split()[1], file=sys.stderr)\n"
+             "sys.exit(status)\n")
+    proc = subprocess.run([sys.executable, "-c", child, *argv],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr.split()[-1])
 
 
-def test_largest_simulation_adds_one_trial_array_in_a_fresh_process():
-    # at MAX_TRIALS the MZ run may add 8 bytes per trial (64 MiB) to a
-    # 100-trial run, plus 16 MiB for chunks and allocator slack; a second
-    # trial-sized array would add 64 MiB more
-    small = _max_rss_kib("simulate", "mz", "--trials", "100")
-    large = _max_rss_kib("simulate", "mz", "--trials", str(MAX_TRIALS))
-    assert large - small <= (8 * MAX_TRIALS + 16 * 2**20) // 1024
+@pytest.mark.parametrize("argv", [["mz"], ["absorption"]],
+                         ids=["mz", "absorption-coherent"])
+def test_largest_simulation_adds_no_trial_array_in_a_fresh_process(argv):
+    # at MAX_TRIALS a run may add 16 MiB of allocator slack to a 100-trial
+    # run; one trial-sized array would add 64 MiB
+    small = _max_rss_kib("simulate", *argv, "--trials", "100")
+    large = _max_rss_kib("simulate", *argv, "--trials", str(MAX_TRIALS))
+    assert large - small <= 16 * 2**10, (small, large)
