@@ -260,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="y ~ N(2 sqrt(eta) alpha phi, eta V + 1 - eta); "
                     "phi_hat = y/(2 alpha sqrt(eta)); std vs "
                     "(1/(2 alpha)) sqrt(V + (1-eta)/eta).")
-    # alpha^2 is SimConfig's n_photons, which stops at MAX_PHOTONS; below 10
-    # the bright-probe gate alpha^2 >= 100 max(1, V) refuses every V
+    # the simulation stops alpha^2 at MAX_PHOTONS (PHOTONS); below 10 the
+    # bright-probe gate alpha^2 >= 100 max(1, V) refuses every V
     s.add_argument("--alpha", default=10.0,
                    type=flag((10.0, math.sqrt(MAX_PHOTONS), True, True)))
     s.add_argument("--v-sqz", type=flag(POSITIVE), default=1.0)

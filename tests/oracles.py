@@ -361,7 +361,8 @@ def streamed_absorption(seed: int, trials: int, chunk: int, alpha_true: float,
     def transmitted(m):
         if heralded:
             return rng.binomial(n_sig, 1.0 - alpha_true, m)
-        return rng.binomial(rng.poisson(n_sig, m), 1.0 - alpha_true)
+        # a Poisson(n_sig) source thinned by 1 - alpha_true, by its law
+        return rng.poisson(n_sig * (1.0 - alpha_true), m)
     return _moments(1.0 - _in_chunks(trials, chunk, transmitted) / n_sig)
 
 

@@ -1,3 +1,4 @@
+import errno
 import os
 
 import numpy as np
@@ -114,3 +115,34 @@ def test_write_text_atomic(tmp_path):
     assert target.read_bytes() == b"new"
     leftovers = [p for p in os.listdir(target.parent) if p != "data.csv"]
     assert leftovers == []
+
+
+def test_write_text_atomic_failure_leaves_the_target_alone(tmp_path,
+                                                           monkeypatch):
+    target = tmp_path / "data.csv"
+    target.write_bytes(b"old\r\n")
+    real_fdopen = os.fdopen
+
+    class FullDisk:
+        """A file that takes half of a write, then reports a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "fdopen",
+                        lambda fd, *a, **kw: FullDisk(real_fdopen(fd, *a, **kw)))
+    with pytest.raises(OSError, match="No space left"):
+        write_text_atomic(str(target), "new,text\r\n" * 1000)
+    assert target.read_bytes() == b"old\r\n"
+    assert os.listdir(tmp_path) == ["data.csv"]

@@ -65,7 +65,7 @@ GOLDEN = {
     ("sim-noon-fringe", "csv"):
         "79353dab06592442dcba26522e07c6b429439beae019ddc59628ef20685552f9",
     ("sim-noon-fringe", "json"):
-        "dfd85ae733408263aa0229b0c37836d756d0c78efcc77ab15971c24beb2c8c82",
+        "ede09a098080705f783f5cc69f6b9aee5bebf10097712cb3a73f81b5e4bedd15",
     ("sim-hom", "csv"):
         "435b8d4e732d70d91f1c8c7518e07712caaea3f4f0b0076d61233e45dce88cab",
     ("sim-hom", "json"):
@@ -83,9 +83,9 @@ GOLDEN = {
     ("sim-absorption", "json"):
         "66d6bf5bf02ad3fd3be9794ffcbad9bbf3aae5e8bee0a558dda046e088aa3cc3",
     ("sim-absorption-coherent", "csv"):
-        "a818dd187e01459c8fc80c47456378b48194bf822bc75cb1d9ce988c35545ee0",
+        "26df0cc1fb255c82a9c9b029c91450b1d772e6eb923e074716090ae3917593ab",
     ("sim-absorption-coherent", "json"):
-        "7cca536aaa62108cfbe4001f8bd0471ac02f3a825675ac44b851dcf13f629caf",
+        "093812d0234a44f315f4e4d1ec9f5d5e7b5c90ba9ea479fb2f4a2b6482164fd0",
     ("fig-limits", "csv"):
         "cbc71c5be24526c72d8dd1f9f4515d611abd02ea65b8084a1b236c405e594520",
     ("fig-limits", "json"):

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from qoptkit import (
     DEFAULT_SEED,
+    montecarlo,
     SimConfig,
     SimReport,
     simulate_coherent_mz,
@@ -18,6 +19,7 @@ from qoptkit import (
     simulate_noon_fringe,
     squeezed_precision,
 )
+from qoptkit.cli import run
 from qoptkit.domain import MAX_TRIALS
 from qoptkit.montecarlo import CHUNK
 
@@ -25,16 +27,57 @@ from qoptkit.montecarlo import CHUNK
 PEAK_CHUNKS = 6
 
 
-def test_sim_config_validation():
-    with pytest.raises(ValueError):
-        SimConfig(trials=0)
-    with pytest.raises(ValueError):
-        SimConfig(n_photons=0.0)
-    with pytest.raises(ValueError):
-        SimConfig(eta=0.0)
-    with pytest.raises(ValueError):
-        SimConfig(eta=1.2)
+def _homodyne(cfg):
+    return simulate_homodyne_squeezed(cfg, 1.0)
+
+
+# (simulation, SimConfig field, a value outside the simulation's domain for
+# it, the name the refusal gives); the other fields are valid for both
+REFUSALS = [
+    (simulate_coherent_mz, "seed", -1, "seed"),
+    (simulate_coherent_mz, "trials", 50, "trials"),
+    (simulate_coherent_mz, "phase", 0.0, "operating phase"),
+    (simulate_coherent_mz, "n_photons", 10.0, "n0"),
+    (simulate_coherent_mz, "eta", 0.0, "eta"),
+    (_homodyne, "seed", 2**64, "seed"),
+    (_homodyne, "trials", 10, "trials"),
+    (_homodyne, "phase", 4.0, "phase"),
+    (_homodyne, "n_photons", math.nan, "alpha\\^2"),
+    (_homodyne, "eta", 1.2, "eta"),
+]
+
+
+def test_sim_config_is_a_plain_record():
+    # each simulation checks the fields it reads; the record checks nothing
+    assert not hasattr(SimConfig, "__post_init__")
+    assert SimConfig(trials=0, eta=2.0).trials == 0
     assert SimConfig().seed == DEFAULT_SEED
+
+
+def test_sim_config_validation():
+    for simulate, field, bad, name in REFUSALS:
+        cfg = SimConfig(**{"trials": 100, "n_photons": 100.0, field: bad})
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            simulate(cfg)
+
+
+@pytest.mark.parametrize("simulate, names", [
+    (simulate_coherent_mz, ["trials", "n0", "eta", "operating phase", "seed"]),
+    (_homodyne, ["v_sqz", "trials", "eta", "phase", "alpha^2", "seed"]),
+], ids=["mz", "homodyne"])
+def test_each_simulation_input_is_checked_once(simulate, names, monkeypatch):
+    seen = []
+
+    def counted(real):
+        def check(x, name, *domain):
+            seen.append(name)
+            return real(x, name, *domain)
+        return check
+    for check in ("require_in", "require_int"):
+        monkeypatch.setattr(montecarlo, check,
+                            counted(getattr(montecarlo, check)))
+    simulate(SimConfig(trials=100, n_photons=100.0))
+    assert sorted(seen) == sorted(names)
 
 
 def test_mz_matches_shot_noise():
@@ -94,6 +137,37 @@ def test_fringe_deterministic():
     assert simulate_noon_fringe(15, 500) == simulate_noon_fringe(15, 500)
     assert simulate_noon_fringe(15, 500) != simulate_noon_fringe(15, 500,
                                                                  seed=3)
+
+
+# inputs on which the fit once stalled at rounding level and ran out of steps
+STALLED_FITS = [(35, 184785, 6264094095420345554),
+                (25, 1018372, 302372324862457185),
+                (54, 7154423, 6547190821827306521),
+                (44, 2429319, 4229909532532667744),
+                (38, 857696, 1858739381307298474)]
+
+
+@pytest.mark.parametrize("points, trials, seed", STALLED_FITS)
+def test_fringe_fit_does_not_stall(points, trials, seed):
+    ds = simulate_noon_fringe(points, trials, seed)
+    assert abs(ds.metadata["fitted_period"] - math.pi) < 1e-3
+
+
+def test_fringe_fit_answers_at_the_edges():
+    for points in (5, 6, 17, 33, 400):
+        for trials in (1, 2, 10, 10**6, MAX_TRIALS):
+            for seed in range(40):
+                ds = simulate_noon_fringe(points, trials, seed)
+                assert math.isfinite(ds.metadata["fitted_period"]), \
+                    (points, trials, seed)
+
+
+def test_failed_fringe_fit_exits_2_and_names_its_inputs(monkeypatch, capsys):
+    monkeypatch.setattr(montecarlo, "_FIT_MAX_ITER", 1)
+    assert run(["simulate", "noon-fringe", "--seed", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: fringe fit failed at 33 phase points, 1000 "
+                   "trials, seed 7\n")
 
 
 def test_fringe_validation():
