@@ -375,6 +375,8 @@ def _cmd_squeezed(args) -> FigureDataset:
 
 
 def _cmd_compare(args) -> FigureDataset:
+    # reversed bounds get the message of bounds too close for the points
+    _ascending(np.array([args.eta_min, args.eta_max]), args, "eta")
     eta_grid = _ascending(figures.default_eta_grid(
         args.eta_points, args.eta_min, args.eta_max), args, "eta")
     return figures.noon_vs_squeezed_grid(eta_grid, _n_sig_grid(args))

@@ -21,8 +21,9 @@ by Bayes' rule with the binomial detection likelihood
 On the geometric twin-beam prior both posteriors have closed forms: after
 N_det counts the undetected photons N - N_det follow a negative binomial,
 and a bucket click ("at least one photon") reweights the prior by the click
-probability 1 - (1-eta)^N. Each pmf sizes its support from its own tail,
-and every such support passes domain.check_size before allocation.
+probability 1 - (1-eta)^N. The binomial and negative binomial pmfs come
+from their exact step ratios (states.outward_pmf). Each pmf sizes its
+support from its own tail, and passes domain.check_size before allocation.
 """
 from __future__ import annotations
 
@@ -38,13 +39,12 @@ from .states import (
     TAIL_MASS,
     PdcTwinBeam,
     PhotonDistribution,
-    binomial_pmf,
     geometric_n_max,
+    outward_pmf,
     pdc_marginal_pmf,
 )
 
-# apply_loss's Horner block (32 and 64 tie below ~1500 entries, 64 wins
-# above), and the longest product run from a posterior kernel anchor
+# apply_loss's Horner block: 32 and 64 tie below ~1500 entries, 64 wins above
 BLOCK = 64
 # apply_loss's Pascal triangle, C(j, i) for i, j <= BLOCK as running products
 # of C(j, i)/C(j, i-1), and its index j - i, clipped to 0 where C(j, i) = 0
@@ -105,8 +105,15 @@ def condition_probe_number_resolving(state: PdcTwinBeam, n_det: int,
     """
     require_int(n_det, "n_det", *N_DET)
     require_observable(n_det, state.epsilon, 1.0)
+    eta = probe_loss.eta
     k = np.arange(check_size(n_det + 1))
-    return PhotonDistribution(binomial_pmf(k, n_det, probe_loss.eta))
+    # step ratios about the mode; at eta = 0 or 1 the side that would divide
+    # by eta or 1 - eta is empty
+    mode = min(math.floor((n_det + 1) * eta), n_det)
+    j, i = k[mode:0:-1], k[mode:n_det]
+    fall = j * (1.0 - eta) / ((n_det + 1 - j) * eta)
+    rise = (n_det - i) * eta / ((i + 1) * (1.0 - eta))
+    return PhotonDistribution(outward_pmf(fall, rise))
 
 
 def condition_probe_bucket(state: PdcTwinBeam,
@@ -153,30 +160,13 @@ def posterior_number_resolving(state: PdcTwinBeam, n_det: int,
     n_env = math.ceil(q * n_det / (rho - q)) + 1 + math.ceil(
         math.log(TAIL_MASS * (1.0 - rho)) / math.log(rho))
     check_size(n_det + n_env)  # the support also holds the n_det zeros
-
-    def tail_below(m, p):  # p r/(1 - r) < TAIL_MASS, true from the cut on
-        return q * (m + n_det + 1) / (m + 1) * (p + TAIL_MASS) < TAIL_MASS
-
-    # Kernel values at one anchor per block of BLOCK entries, the entry
-    # nearest the mode: the block's largest. Blocks run down from mode - 1
-    # and up from the mode to the first anchor past the cut; their other
-    # entries are products of exact step ratios away from the anchor.
+    m = np.arange(n_env)
+    r = q * (m + n_det + 1) / (m + 1)
     mode = math.floor(q * n_det / (1.0 - q))
-    down = np.arange(mode - 1, -1, -BLOCK)
-    up = np.arange(mode, n_env + BLOCK - 1, BLOCK)
-    top = (1.0 - q) * binomial_pmf(n_det, n_det + np.append(down, up), 1.0 - q)
-    blocks = np.argmax(tail_below(up, top[len(down):]))
-    m_dn = np.maximum(down[:, None] - np.arange(BLOCK), 0)  # 0: padding
-    m_up = up[:blocks, None] + np.arange(BLOCK)
-    f = np.concatenate([(m_dn + 1) / (q * (m_dn + n_det + 1)),
-                        q * (m_up + n_det) / np.maximum(m_up, 1)])  # lane 0: anchor
-    f[:, 0] = top[:len(f)]
-    p = np.cumprod(f, axis=1)
-    pmf = np.concatenate([np.zeros(n_det), p[:len(down)].ravel()[mode - 1::-1],
-                          p[len(down):].ravel(), top[len(f):len(f) + 1]])
-    n0 = max(len(pmf) - BLOCK - 1, n_det)  # the cut lies in the last block
-    cut = np.argmax(tail_below(np.arange(n0, len(pmf)) - n_det, pmf[n0:]))
-    return PhotonDistribution(pmf[:n0 + cut + 1])
+    p = outward_pmf(1.0 / r[:mode][::-1], r[mode:-1])
+    # p r/(1 - r) < TAIL_MASS, false up to the mode and true from the cut on
+    cut = np.argmax(r * (p + TAIL_MASS) < TAIL_MASS)
+    return PhotonDistribution(np.concatenate((np.zeros(n_det), p[:cut + 1])))
 
 
 def posterior_bucket(state: PdcTwinBeam,

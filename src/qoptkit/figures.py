@@ -13,8 +13,9 @@ import numpy as np
 from . import conditioning as cond
 from .conditioning import DetectorKind, LossChannel
 from .dataset import Axis, FigureDataset
-from .domain import (COMPARE_N_SIG, EFFICIENCY, MAX_CELLS, ONE_PHOTON_N_SIG,
-                     TRANSMISSION, check_size, require_grid, require_in)
+from .domain import (COMPARE_N_SIG, EFFICIENCY, GRID_POINTS, LOG_LOSS,
+                     MAX_CELLS, ONE_PHOTON_N_SIG, TRANSMISSION, check_size,
+                     require_grid, require_in, require_int)
 from .limits import (PowerConstraint, heisenberg, loss_bound, sql_sample,
                      squeezed_vacuum_crb)
 from .noon import noon_best_precision, noon_optimal_n
@@ -167,6 +168,9 @@ def noon_precision_curve(eta: float, n_sig_grid) -> FigureDataset:
 def default_eta_grid(n_points: int = 200, eta_min: float = 0.5,
                      eta_max: float = 0.999) -> np.ndarray:
     """eta in [eta_min, eta_max], log-spaced in the loss 1-eta, ascending."""
+    n_points = int(require_int(n_points, "n_points", *GRID_POINTS))
+    require_in(eta_min, "eta_min", *LOG_LOSS)
+    require_in(eta_max, "eta_max", eta_min, LOG_LOSS[1])  # above eta_min
     return 1.0 - np.logspace(math.log10(1.0 - eta_min),
                              math.log10(1.0 - eta_max), n_points)
 

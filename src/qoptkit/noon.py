@@ -164,12 +164,17 @@ def noon_best_precision(eta, n_sig, n_opt):
     Below the kink at n_sig = n_opt/2 a single state with N = 2*n_sig (real-
     valued idealization) beats any repetition strategy; above it, repeating
     the n_opt-photon state of noon_optimal_n wins. Both branches evaluate
-    identically at the kink; n_opt = inf (lossless) keeps the single state
-    everywhere. n_sig starts at 0.5, where that state holds one photon.
-    Broadcasts over its arguments; returns (delta_phi, n_state).
+    identically at the kink. n_opt is a whole number >= 1, or inf (lossless)
+    to keep the single state everywhere. n_sig starts at 0.5, where that
+    state holds one photon. Broadcasts; returns (delta_phi, n_state).
     """
     eta = require_in(eta, "eta", *EFFICIENCY)
     n_sig = require_in(n_sig, "n_sig", *ONE_PHOTON_N_SIG)
+    n_opt = np.asarray(n_opt, dtype=float)
+    ok = (n_opt >= 1.0) & (np.floor(n_opt) == n_opt)  # inf too: lossless
+    if not ok.all():
+        raise ValueError("n_opt must be a whole number >= 1 or inf, got "
+                         f"{float(n_opt[~ok][0])!r}")
     n_state = np.where(n_sig <= n_opt / 2.0, 2.0 * n_sig, n_opt)
     return _delta_phi_m(n_state, eta, n_sig), n_state
 

@@ -194,8 +194,8 @@ def test_posterior_bucket_errors():
 def assert_entrywise(got, exact):
     """Every entry whose exact value is in the normal float range (from
     2.3e-308 up) nonzero and within 1e-12 relative of the 50-digit law, and
-    the TV promise kept. A block anchored at its smallest entry fails this
-    where that anchor is subnormal: 9.7e-12 at (0.99, 0.01, 300)."""
+    the TV promise kept. Products of step ratios run from a subnormal entry
+    instead of from the mode fail this: 9.7e-12 at (0.99, 0.01, 300)."""
     assert len(exact) >= len(got)
     for g, e in zip(got, exact):
         if e >= Decimal("2.3e-308"):
@@ -209,8 +209,8 @@ def assert_entrywise(got, exact):
 def test_posterior_number_resolving_heavy_tail(eps, eta, n_det):
     # the posterior's tail is far heavier than the prior's: a support cut at
     # the prior's 1e-16 point lost TV 0.11, 0.089 and 1.0 here
-    # (0.99, 0.01, 300) also underflows p(n_det) ~ 1e-512, so the blocks below
-    # the mode must keep every normal-range digit of the entries above it
+    # (0.99, 0.01, 300) also underflows p(n_det) ~ 1e-512, so the products
+    # below the mode must keep every normal-range digit of the entries above it
     got = posterior_number_resolving(PdcTwinBeam(eps), n_det, LossChannel(eta))
     assert_entrywise(got.pmf,
                      oracles.exact_posterior_number_resolving(eps, n_det, eta))
@@ -341,13 +341,14 @@ def test_posteriors_refuse_oversized_support():
         posterior_bucket(PdcTwinBeam(1.0 - 1e-7), LossChannel(0.5))
 
 
-# -- the blocked recurrence: anchors at block edges --------------------------
+# -- supports and modes at the lengths where a blocked recurrence breaks -----
 
 @pytest.mark.parametrize("eps, length", [
     (0.6134, 63), (0.6192, 64), (0.6249, 65), (0.8314, 128), (0.8333, 129)])
 def test_posterior_number_resolving_kept_length_at_block_edges(eps, length):
-    # at n_det = 0 the mode is N = 0, so the kept body is whole upper blocks
-    # and the anchor that ends the evaluation sits just past or at the cut
+    # at n_det = 0 the mode is N = 0, so every kept entry is a product of
+    # rising step ratios; the cut sits at, just before or just past a
+    # multiple of 64 entries
     got = posterior_number_resolving(PdcTwinBeam(eps), 0, LossChannel(0.1))
     assert len(got.pmf) == length
     assert_entrywise(got.pmf,
@@ -358,8 +359,8 @@ def test_posterior_number_resolving_kept_length_at_block_edges(eps, length):
     (49, 63), (50, 64), (51, 65), (100, 128), (101, 129)])
 def test_posterior_number_resolving_mode_at_block_edges(n_det, mode):
     # q = 0.5625 puts the mode at floor(9 n_det/7) undetected photons (a tie
-    # with the entry below at n_det = 49), so the blocks below it end on,
-    # just before and just after a block edge
+    # with the entry below at n_det = 49), so the falling products below it
+    # run just under, at and just over 64 and 128 steps
     got = posterior_number_resolving(PdcTwinBeam(0.75), n_det,
                                      LossChannel(0.25)).pmf
     assert got[n_det + mode] == pytest.approx(got.max(), rel=1e-12)

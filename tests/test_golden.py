@@ -107,9 +107,9 @@ GOLDEN = {
     ("fig-conditional-detector-bucket", "json"):
         "c01f4a7a6d62c53f9ce6dd5c14696b62ac12bf14fb5822a9a2fa1481ce10afde",
     ("fig-conditional", "csv"):
-        "c03bceb99e08af3a481b918ebeecabaaac8342033f5cd2a889b4ddacf1417028",
+        "32001458cc2eb10bb7a90f4e30ca6194bdc1e9a2496f8ca1a4944506f2b508ee",
     ("fig-conditional", "json"):
-        "82bf9ac6aa37598c07bc761a60c76b92f1ab66aef1c02440a26881f3874b3851",
+        "a778041a242f115715d6710b0125251ba2a42079701a98f393475302dd921d7c",
     ("limits", "csv"):
         "1615a2a305023df536fcefbe0cda87dab5d69ba800733a867d29c46f58b8ba32",
     ("limits", "json"):
@@ -167,17 +167,17 @@ GOLDEN = {
     ("compare", "json"):
         "bde7137b96e0f8c1f0bf7d1f1ffb0796c505922674233452be3a9cfee7f0af09",
     ("condition-probe-nr", "csv"):
-        "ce19914fe005236004760bf69310fa968f9eae83d40dbb2ceb021d16b057241a",
+        "a91cb17d12625fcae1c78ae273d4db2c871a14478a8284b5448759f273abccc6",
     ("condition-probe-nr", "json"):
-        "2bc006fad9dc1f88134241cd0a01fd4e51dae06de6631df1a15f6ffc19a33eb1",
+        "06be31943099779c0639556ef15ec90cb6d26a63e276b3b135ef945134b1e0e8",
     ("condition-probe-bucket", "csv"):
         "d55f626d51bb0d75878db9c6607dc1fe589d22e6d5b5fbf6135ac4c5ffcf2853",
     ("condition-probe-bucket", "json"):
         "e543be5b6e14caf793f7b0be59e3281bdb9ce16d43a1d69f56f098a0451e8e5e",
     ("condition-detector-nr", "csv"):
-        "d7ad65bc6827618d2bd257fec4df04d4a12bb7913db2e515ae201821a19a2673",
+        "459373bb7c570e04d9ee94ef518eeff2b151f79edba7eba0e6d42397bea39ff3",
     ("condition-detector-nr", "json"):
-        "f98d7747fdadb276c5647d0ebe042a7405674982f3e116bf77fb14b5ffeef9f0",
+        "0eda23ee0911a4ad600e9ecc2f7fcef9ac7eed52e9cb7d084954bd1bb8727146",
     ("condition-detector-bucket", "csv"):
         "59f08613d3421669a95a4ea279995d3c9c4740ba42087881bc908cd0a01806d3",
     ("condition-detector-bucket", "json"):

@@ -271,3 +271,10 @@ def test_no_precision_beats_the_loss_floor():
     # below half a photon of exposure a NOON state would hold less than one
     with pytest.raises(ValueError, match="n_sig"):
         noon_best_precision(0.001, 0.01, 1)
+
+
+@pytest.mark.parametrize("n_opt", [math.nan, 0, 2.5, -1.0, -math.inf,
+                                   [3, 2.5]])
+def test_best_precision_refuses_n_opt_that_is_not_a_photon_number(n_opt):
+    with pytest.raises(ValueError, match="n_opt must be a whole number"):
+        noon_best_precision(0.9, 3.0, n_opt)

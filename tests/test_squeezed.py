@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,19 @@ def test_default_grids():
     n_sig = noon_vs_squeezed_grid().axis("n_sig").values
     assert len(n_sig) == 200
     assert n_sig[0] == 1.0 and n_sig[-1] == pytest.approx(100.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((5, 1.5, 0.999), "eta_min must be finite and lie in"),
+    ((0, 0.5, 0.9), "n_points must be an integer in [2, "),
+    ((3, 0.9, 0.5), "eta_max must be finite and lie in (0.9, 1), got 0.5"),
+    ((3, 0.5, 1.0), "eta_max must be finite and lie in (0.5, 1), got 1.0"),
+    ((2.5, 0.5, 0.9), "n_points must be an integer"),
+    ((3, float("nan"), 0.9), "eta_min must be finite"),
+])
+def test_default_eta_grid_refuses_by_name(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        default_eta_grid(*args)
 
 
 def test_grid_dataset_small():

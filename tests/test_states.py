@@ -6,16 +6,24 @@ import pytest
 
 import oracles
 from qoptkit import (
+    LossChannel,
     PdcTwinBeam,
     PhotonDistribution,
     coherent_pmf,
+    condition_probe_number_resolving,
     delta_distribution,
     distribution_moments,
     g2_self,
     geometric_n_max,
     pdc_marginal_pmf,
 )
-from qoptkit.states import binomial_pmf, poisson_pmf
+
+
+def binomial_pmf(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) as the probe side builds it: an ideal count of n
+    photons thinned by transmission p."""
+    return condition_probe_number_resolving(PdcTwinBeam(0.5), n,
+                                            LossChannel(p)).pmf
 
 
 def test_photon_distribution_validation():
@@ -93,50 +101,67 @@ def test_g2_self_cases():
         g2_self(delta_distribution(0))
 
 
-# -- binomial and Poisson kernel against 50-digit references ------------------
+# -- binomial and Poisson pmfs against 50-digit references -------------------
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 16, 17, 40, 1000])
 def test_binomial_pmf_against_exact(n):
-    # covers the exact stirlerr table (n <= 15) and the series above it
-    for p in (1e-4, 0.1, 0.5, 0.9, 0.999):
-        got = binomial_pmf(np.arange(n + 1), n, p)
+    for p in (1e-4, 0.1, 0.5, 0.9, 0.999, 1.0 - 2.0**-53):
+        got = binomial_pmf(n, p)
         assert oracles.exact_tv(got, oracles.exact_binomial(n, p)) <= 1e-14
 
 
 def test_binomial_pmf_large_n():
     # a cumulative log-factorial table is off by TV ~2.6e-11 here
-    got = binomial_pmf(np.arange(3601), 3600, 0.5)
+    got = binomial_pmf(3600, 0.5)
     assert oracles.exact_tv(got, oracles.exact_binomial(3600, 0.5)) <= 1e-14
 
 
 def test_binomial_pmf_edges():
-    assert np.array_equal(binomial_pmf([0, 1, 2], 2, 0.0), [1.0, 0.0, 0.0])
-    assert np.array_equal(binomial_pmf([0, 1, 2], 2, 1.0), [0.0, 0.0, 1.0])
-    assert binomial_pmf(0, 0, 0.3) == 1.0
-    assert np.array_equal(binomial_pmf([-1, 3], 2, 0.3), [0.0, 0.0])
-    assert binomial_pmf(0, 5, 0.3) == pytest.approx(0.7**5, rel=1e-15)
-    assert binomial_pmf(5, 5, 0.3) == pytest.approx(0.3**5, rel=1e-15)
-    # broadcast over n at a fixed k, as the detector posterior uses it
-    n = np.arange(2, 6)
-    want = [math.comb(int(m), 2) * 0.3**2 * 0.7 ** (m - 2) for m in n]
-    assert np.allclose(binomial_pmf(2, n, 0.3), want, rtol=1e-14, atol=0)
+    # eta = 0 and 1 are exact: the ratios that would divide by them are unused
+    assert np.array_equal(binomial_pmf(2, 0.0), [1.0, 0.0, 0.0])
+    assert np.array_equal(binomial_pmf(2, 1.0), [0.0, 0.0, 1.0])
+    assert np.array_equal(binomial_pmf(0, 0.3), [1.0])
+    got = binomial_pmf(5, 0.3)
+    assert got[0] == pytest.approx(0.7**5, rel=1e-15)
+    assert got[5] == pytest.approx(0.3**5, rel=1e-15)
+    want = [math.comb(5, k) * 0.3**k * 0.7 ** (5 - k) for k in range(6)]
+    assert np.allclose(got, want, rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("p", [1e-17, 2.0**-54, 1e-300])
+@pytest.mark.parametrize("p", [1e-17, 2.0**-54, 1e-300, 1.0 - 2.0**-53])
 def test_binomial_pmf_tiny_p(p):
-    # 1 - p rounds to 1.0 here, so the k = n edge cannot use log1p(-(1 - p))
+    # 1 - p rounds to 1.0 at the tiny p, and is 2^-53 exactly at the last
     for n in (0, 1, 5, 50):
-        got = binomial_pmf(np.arange(n + 1), n, p)
+        got = binomial_pmf(n, p)
         for g, e in zip(got, oracles.exact_binomial(n, p)):
             if e >= Decimal("2.3e-308"):
                 assert abs(Decimal(float(g)) - e) <= Decimal("1e-12") * e
 
 
 def test_poisson_pmf_edges():
-    assert np.array_equal(poisson_pmf(np.arange(3), 0.0), [1.0, 0.0, 0.0])
-    assert poisson_pmf(0, 2.5) == math.exp(-2.5)
-    assert poisson_pmf(3, 2.5) == pytest.approx(
-        math.exp(-2.5) * 2.5**3 / 6, rel=1e-15)
+    assert np.array_equal(coherent_pmf(0.0, 2).pmf, [1.0, 0.0, 0.0])
+    # p(1) = 1e-300 is the only other entry above the underflow
+    assert np.array_equal(coherent_pmf(1e-300).pmf[:3], [1.0, 1e-300, 0.0])
+    got = coherent_pmf(2.5).pmf
+    assert got[0] == math.exp(-2.5)
+    assert got[3] == pytest.approx(math.exp(-2.5) * 2.5**3 / 6, rel=1e-15)
+    for mean in (2.5, 1e5):
+        d = coherent_pmf(mean)
+        exact = oracles.exact_poisson(mean, d.n_max + 1)
+        assert oracles.exact_tv(d.pmf, exact) <= 1e-14
+
+
+def test_pmf_n_max_must_be_a_whole_number():
+    for n_max in (40.5, 2.5, -1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            coherent_pmf(5.0, n_max)
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            pdc_marginal_pmf(PdcTwinBeam(0.5), n_max)
+    assert coherent_pmf(5.0, 40.0).n_max == 40
+    assert pdc_marginal_pmf(PdcTwinBeam(0.0), 0).pmf.tolist() == [1.0]
+    # a support shorter than the pmf's bulk is still refused by its sum
+    with pytest.raises(ValueError, match="pmf sums to"):
+        coherent_pmf(10.0, 5)
 
 
 @pytest.mark.parametrize("mean_n", [19.0, 274.0, 1030.0, 2000.0])
