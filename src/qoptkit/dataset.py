@@ -27,6 +27,7 @@ import io
 import json
 import math
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, field
 
@@ -199,7 +200,8 @@ def write_text_atomic(path: str, text: str) -> None:
     """Write text so the target never exists half-written.
 
     The temp file lives in the destination directory so os.replace stays on
-    one filesystem and is atomic.
+    one filesystem and is atomic. It leaves the mode open(path, "w") would:
+    an existing target's own, else 0o666 less the umask (mkstemp's is 0o600).
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -207,6 +209,13 @@ def write_text_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         try:

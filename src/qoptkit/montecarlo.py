@@ -21,6 +21,11 @@ and folds its estimates' moments into a running (n, mean, M2) by the pairwise
 update of Chan, Golub and LeVeque (Am. Stat. 37, 242 (1983)), so memory does
 not grow with the trial count. A run of at most CHUNK trials gives np.mean and
 np.std(ddof=1) of one sampler call per stage, bit for bit.
+
+The fringe's period comes from a Gauss-Newton fit whose every step solves
+its 3x3 normal equations by cofactors, from sums of elementwise products:
+no simulation calls BLAS or LAPACK, whose first least-squares call would
+add over 1 MB to a process's peak memory.
 """
 from __future__ import annotations
 
@@ -177,30 +182,46 @@ def simulate_noon_fringe(n_phase_points: int, trials: int,
 def _fit_fringe(phi: np.ndarray, y: np.ndarray) -> tuple | None:
     """Least-squares fit of y = c + a cos(omega phi) by Gauss-Newton.
 
-    Each step is halved until the residual sum of squares stops rising,
-    which keeps sparse fringes (few points, few trials) from oscillating;
-    if no halving stops it, the iterate is the fit. Returns (c, a, omega),
-    or None when the iteration goes non-finite or runs _FIT_MAX_ITER steps.
+    Each step solves the 3x3 normal equations J^T J step = J^T r by the
+    cofactors of the symmetric J^T J, whose entries are sums of products of
+    the Jacobian columns (1, cos(omega phi), -a phi sin(omega phi)), so no
+    step calls BLAS or LAPACK. Each step is halved until the residual sum of
+    squares stops rising, which keeps sparse fringes (few points, few trials)
+    from oscillating; if no halving stops it, the iterate is the fit. Returns
+    (c, a, omega), or None when a step goes non-finite or the iteration runs
+    _FIT_MAX_ITER steps.
     """
     def residual(theta):
         return y - theta[0] - theta[1] * np.cos(theta[2] * phi)
 
+    sum_ = np.add.reduce
+    n = float(len(phi))
     theta = np.array(_FIT_P0)
     r = residual(theta)
     for _ in range(_FIT_MAX_ITER):
         _, a, omega = theta
-        jac = np.column_stack([np.ones_like(phi), np.cos(omega * phi),
-                               -a * phi * np.sin(omega * phi)])
-        step = np.linalg.lstsq(jac, r, rcond=None)[0]
+        cos = np.cos(omega * phi)
+        d_omega = -a * phi * np.sin(omega * phi)
+        s01, s02, s11 = sum_(cos), sum_(d_omega), sum_(cos * cos)
+        s12, s22 = sum_(cos * d_omega), sum_(d_omega * d_omega)
+        b0, b1, b2 = sum_(r), sum_(cos * r), sum_(d_omega * r)
+        c00, c01 = s11 * s22 - s12 * s12, s02 * s12 - s01 * s22
+        c02, c11 = s01 * s12 - s02 * s11, n * s22 - s02 * s02
+        c12, c22 = s01 * s02 - n * s12, n * s11 - s01 * s01
+        det = n * c00 + s01 * c01 + s02 * c02
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.array([c00 * b0 + c01 * b1 + c02 * b2,
+                             c01 * b0 + c11 * b1 + c12 * b2,
+                             c02 * b0 + c12 * b1 + c22 * b2]) / det
         if not np.all(np.isfinite(step)):
             return None
         if np.all(np.abs(step) <= _FIT_XTOL * (np.abs(theta) + _FIT_XTOL)):
             return tuple(float(t) for t in theta + step)
-        rss = r @ r
+        rss = sum_(r * r)
         for halving in range(_FIT_HALVINGS + 1):
             trial = theta + step / 2**halving
             r_trial = residual(trial)
-            if r_trial @ r_trial <= rss:
+            if sum_(r_trial * r_trial) <= rss:
                 break
         else:
             return tuple(float(t) for t in theta)

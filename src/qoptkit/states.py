@@ -101,11 +101,13 @@ def coherent_pmf(mean_n: float, n_max: int | None = None) -> PhotonDistribution:
     """Poisson photon statistics of a coherent state: p(N) = e^-n n^N / N!.
 
     Built by outward_pmf from p(N+1)/p(N) = mean/(N+1) over the longer of
-    n_max and the default max(32, ceil(mean + 12*sqrt(mean))), which leaves
-    out under 1e-16; a shorter n_max keeps a prefix, whose sum shows the cut.
+    n_max and the default max(33, ceil(mean + 12*sqrt(mean))), which leaves
+    out under TAIL_MASS: at most 9.4e-17, near mean 5.32 (a floor of 32
+    would leave out 1.4e-16 near mean 5.045). A shorter n_max keeps a
+    prefix, whose sum shows the cut.
     """
     require_in(mean_n, "mean photon number", 0.0, lo_closed=True)
-    full = max(32, math.ceil(mean_n + 12.0 * math.sqrt(mean_n)))
+    full = max(33, math.ceil(mean_n + 12.0 * math.sqrt(mean_n)))
     n_max = full if n_max is None else int(require_int(n_max, "n_max", 0))
     k = np.arange(check_size(max(n_max, full) + 1))
     mode = math.floor(mean_n)

@@ -252,6 +252,45 @@ def golden_minimize(fn, lo: float, hi: float, tol: float = 1e-9,
     return 0.5 * (a + b)
 
 
+def lstsq_fringe_fit(phi, y) -> tuple | None:
+    """Gauss-Newton fit of y = c + a cos(omega phi), each step by lstsq.
+
+    The library's fit with each step taken by LAPACK's least-squares solver
+    on the Jacobian: same start (0.5, 0.5, 2), 10 halvings, 1e-12 relative
+    step test and 500-step cap. Returns (c, a, omega) or None.
+    """
+    def residual(theta):
+        return y - theta[0] - theta[1] * np.cos(theta[2] * phi)
+
+    theta = np.array([0.5, 0.5, 2.0])
+    r = residual(theta)
+    for _ in range(500):
+        _, a, omega = theta
+        jac = np.column_stack([np.ones_like(phi), np.cos(omega * phi),
+                               -a * phi * np.sin(omega * phi)])
+        step = np.linalg.lstsq(jac, r, rcond=None)[0]
+        if not np.all(np.isfinite(step)):
+            return None
+        if np.all(np.abs(step) <= 1e-12 * (np.abs(theta) + 1e-12)):
+            return tuple(float(t) for t in theta + step)
+        rss = r @ r
+        for halving in range(11):
+            trial = theta + step / 2**halving
+            r_trial = residual(trial)
+            if r_trial @ r_trial <= rss:
+                break
+        else:
+            return tuple(float(t) for t in theta)
+        theta, r = trial, r_trial
+    return None
+
+
+def fringe_rss(phi, y, fit) -> float:
+    """Residual sum of squares of a fringe fit (c, a, omega), in math.fsum."""
+    c, a, omega = fit
+    return math.fsum((y - c - a * np.cos(omega * phi)) ** 2)
+
+
 def noon_scan_best(eta: float, n_max: int = 200) -> tuple[int, float]:
     """Exhaustive integer scan of the NOON enhancement sqrt(N/(eta^-N + 1))."""
     best_n, best_e = 1, -1.0

@@ -1,5 +1,8 @@
 import errno
 import os
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -146,3 +149,20 @@ def test_write_text_atomic_failure_leaves_the_target_alone(tmp_path,
         write_text_atomic(str(target), "new,text\r\n" * 1000)
     assert target.read_bytes() == b"old\r\n"
     assert os.listdir(tmp_path) == ["data.csv"]
+
+
+@pytest.mark.parametrize("before, after", [(None, 0o644), (0o644, 0o644),
+                                           (0o640, 0o640)],
+                         ids=["new", "existing-0644", "existing-0640"])
+def test_written_dataset_gets_the_mode_open_gives(tmp_path, before, after):
+    # a new target gets 0o666 less the umask, an existing one keeps its mode
+    target = tmp_path / "x.csv"
+    if before is not None:
+        target.write_bytes(b"old\r\n")
+        target.chmod(before)
+    proc = subprocess.run([sys.executable, "-m", "qoptkit.cli", "limits",
+                           "--n-sig", "25", "--out", str(target)],
+                          capture_output=True, text=True, umask=0o022)
+    assert proc.returncode == 0, proc.stderr
+    assert stat.S_IMODE(target.stat().st_mode) == after
+    assert target.read_bytes().startswith(b"sql_total,")

@@ -83,8 +83,9 @@ def test_cli_defaults_openblas_to_one_thread_and_keeps_a_given_count(given,
                                        ("sim-noon-fringe", "json"),
                                        ("limits", "csv")])
 def test_fresh_cli_process_writes_the_golden_bytes(name, fmt, tmp_path):
-    # in process, pytest's numpy already runs BLAS with its default pool;
-    # the fringe fit's lstsq is the one command path that reaches LAPACK
+    # in process, pytest's numpy already runs BLAS with its default pool; no
+    # command path reaches BLAS or LAPACK, and the fringe fit solves its
+    # Gauss-Newton steps in closed form
     path = tmp_path / f"out.{fmt}"
     child(["-m", "qoptkit.cli", *COMMANDS[name], "--format", fmt,
            "--out", str(path)], OPENBLAS_NUM_THREADS=None)

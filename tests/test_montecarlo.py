@@ -162,6 +162,34 @@ def test_fringe_fit_answers_at_the_edges():
                     (points, trials, seed)
 
 
+def _fringe_inputs():
+    """(points, trials, seed): a corner of the edges and 200 seeded draws."""
+    rng = np.random.default_rng(2929)
+    edges = [(p, t, s) for p in (5, 6, 33, 400) for t in (1, 10, MAX_TRIALS)
+             for s in range(3)]
+    return edges + STALLED_FITS + [
+        (int(rng.integers(5, 401)),
+         int(math.exp(rng.uniform(0.0, math.log(MAX_TRIALS)))),
+         int(rng.integers(0, 2**63))) for _ in range(200)]
+
+
+def test_fringe_fit_matches_the_lstsq_reference():
+    # the closed-form 3x3 step solves the normal equations that lstsq solves
+    # through the Jacobian; on flat minima the two iterations stop apart by
+    # up to a few 1e-9 in omega at an equal residual sum
+    for points, trials, seed in _fringe_inputs():
+        ds = simulate_noon_fringe(points, trials, seed)
+        phi = ds.axis("phase").values
+        y = ds.columns["same_detector_rate"]
+        ref = oracles.lstsq_fringe_fit(phi, y)
+        assert ref is not None, (points, trials, seed)
+        assert ds.metadata["fitted_period"] == pytest.approx(
+            2.0 * math.pi / abs(ref[2]), rel=1e-8), (points, trials, seed)
+        got = montecarlo._fit_fringe(phi, y)
+        assert oracles.fringe_rss(phi, y, got) == pytest.approx(
+            oracles.fringe_rss(phi, y, ref), rel=1e-12, abs=0.0)
+
+
 def test_failed_fringe_fit_exits_2_and_names_its_inputs(monkeypatch, capsys):
     monkeypatch.setattr(montecarlo, "_FIT_MAX_ITER", 1)
     assert run(["simulate", "noon-fringe", "--seed", "7"]) == 2
@@ -353,3 +381,11 @@ def test_largest_simulation_adds_no_trial_array_in_a_fresh_process(argv):
     small = _max_rss_kib("simulate", *argv, "--trials", "100")
     large = _max_rss_kib("simulate", *argv, "--trials", str(MAX_TRIALS))
     assert large - small <= 16 * 2**10, (small, large)
+
+
+def test_fringe_fit_loads_no_lapack_workspace_in_a_fresh_process():
+    # an lstsq step lifted the peak by 1.5-1.7 MiB over a run that fits
+    # nothing; the closed-form step adds about 0.3 MiB
+    small = _max_rss_kib("simulate", "mz", "--trials", "100")
+    fringe = _max_rss_kib("simulate", "noon-fringe")
+    assert fringe - small <= 768, (small, fringe)

@@ -1,5 +1,5 @@
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from qoptkit import (
     geometric_n_max,
     pdc_marginal_pmf,
 )
+from qoptkit.states import TAIL_MASS
 
 
 def binomial_pmf(n: int, p: float) -> np.ndarray:
@@ -162,6 +163,17 @@ def test_pmf_n_max_must_be_a_whole_number():
     # a support shorter than the pmf's bulk is still refused by its sum
     with pytest.raises(ValueError, match="pmf sums to"):
         coherent_pmf(10.0, 5)
+
+
+@pytest.mark.parametrize("mean_n", [0.0, 1.0, 5.0, 5.045, 5.32, 19.0, 1030.0])
+def test_coherent_pmf_default_support_leaves_out_under_tail_mass(mean_n):
+    # near mean 5 the floor sets the support: 32 left out 1.06e-16 at mean 5
+    # and 1.36e-16 at 5.045
+    d = coherent_pmf(mean_n)
+    with localcontext() as ctx:
+        ctx.prec = oracles.DIGITS
+        left_out = 1 - sum(oracles.exact_poisson(mean_n, d.n_max + 1))
+    assert float(left_out) < TAIL_MASS, d.n_max
 
 
 @pytest.mark.parametrize("mean_n", [19.0, 274.0, 1030.0, 2000.0])
